@@ -369,10 +369,10 @@ def campaign_packed_comparison(
     drifts by 10-15%, which is exactly the margin the >= 1.2x gate
     needs; the published ``speedup`` is the median per-round ratio, so
     host-speed drift between the legs cancels.  The v4 section embeds
-    the packed leg's counter-plane telemetry (the boolean leg creates
-    no accumulators, so the process-wide counters are reset up front
-    and read once at the end; repeated packed runs accumulate into the
-    same counters).
+    the accumulator telemetry of both legs (both count toggles through
+    ``PackedToggleAccumulator``; the process-wide counters are reset up
+    front and read once at the end, so repeated runs accumulate into
+    the same counters).
     """
     reset_packed_accumulator_counters()
     base = config.label or "bench.campaign_packed"

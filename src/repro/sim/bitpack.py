@@ -36,28 +36,23 @@ Popcount
 
 Counter planes
 --------------
-Power recording used to be the one place the packed engine had to
-unpack: every toggled lane became a boolean row so float32 energy could
-be accumulated per event.  :func:`counter_add` / :func:`counter_unpack`
-keep that accumulation in the packed domain instead.  A per-bin counter
-is a list of *bit-planes* — plane ``j`` holds bit ``j`` of every
-trace's running count, one trace per lane bit — and adding a toggled
-mask is a ripple-carry add::
-
-    planes[j] ^= carry;  carry = old_plane[j] & carry;  j += 1
-
-Planes are Python arbitrary-precision ints (``lanes_to_int``), not
-numpy arrays: at typical lane counts (a handful of ``uint64`` words)
-CPython's big-int ``^``/``&`` run in well under a microsecond, with
-none of the per-call overhead a numpy kernel pays on tiny arrays, and a
-carry that dies after the first few planes costs amortised O(1) ops.
-Integer weights ``1 + fanout`` decompose in binary: a weight-``w``
-toggle adds the mask once per set bit of ``w``, shifted to that plane.
-Counts are unpacked to integers exactly once per batch
-(:func:`counter_unpack`) and cast to float32 — bitwise-identical to the
-boolean engine's sequential adds while every per-bin count stays below
-``2**COUNTER_EXACT_BITS`` (all addends are non-negative integers, and
-integer-valued float32 sums below 2^24 are exact in any order).
+Counting recorders never unpack toggle masks one by one.
+:func:`counter_add` takes every live toggle row of a settle at once —
+``(k, n_lanes)`` uint64 masks, each tagged with a power bin and an
+integer weight — splits each weight ``1 + fanout`` into its set bits
+and sums the rows of each (bin, weight bit) segment with a segmented
+carry-save adder: full adders ``s = a ^ b ^ c``, ``carry = maj(a, b,
+c)`` turn three rows of one segment into a sum row and a carry row one
+bit-plane up.  Once no segment holds three rows, the few remaining
+vertical counter *planes* (bit ``j`` of every trace's count) are
+unpacked and folded into exact int64 per-bin counts by one weighted
+vector-matrix product per bin; batches below ``COUNTER_DIRECT_BITS``
+skip the adder and fold their rows directly.  The counts are cast to
+float32 once per batch —
+bitwise-identical to the boolean engine's sequential adds while every
+per-bin count stays below ``2**COUNTER_EXACT_BITS`` (all addends are
+non-negative integers, and integer-valued float32 sums below 2^24 are
+exact in any order).
 """
 
 from __future__ import annotations
@@ -80,9 +75,7 @@ __all__ = [
     "unpack_u8",
     "unpack_bool",
     "popcount",
-    "lanes_to_int",
     "counter_add",
-    "counter_unpack",
     "recorder_accepts_packed",
     "resolve_pack_traces",
     "AutoPackFallbackWarning",
@@ -254,7 +247,7 @@ def popcount(lanes: np.ndarray) -> np.ndarray:
 
 
 #: Per-bin per-trace counts below ``2**COUNTER_EXACT_BITS`` are exact
-#: as float32 in *any* summation order, so counter-plane accumulation
+#: as float32 in *any* summation order, so integer count accumulation
 #: is bitwise-identical to the boolean engine's sequential float32
 #: adds.  At or above it, a flush still produces the correctly-rounded
 #: value (one int->float32 rounding) but warns loudly — the boolean
@@ -262,55 +255,135 @@ def popcount(lanes: np.ndarray) -> np.ndarray:
 COUNTER_EXACT_BITS = 24
 
 
-def lanes_to_int(lanes: np.ndarray) -> int:
-    """A ``(n_lanes,)`` uint64 lane vector as one little-endian Python
-    int — the plane representation :func:`counter_add` operates on.
+#: Bit-planes reserved per power bin in the carry-save adder's segment
+#: keys (``bin * COUNTER_KEY_PLANES + plane``): weights below 2^24 plus
+#: the carries of any realistic row count stay far below it.
+COUNTER_KEY_PLANES = 64
 
-    Trace ``i``'s bit keeps position ``i`` (lane words are
-    little-endian and lane ``i // 64`` holds bit ``i % 64``), so
-    big-int ``& ^ |`` act lane-wise exactly like the numpy ops.
+#: Entry-trace bits (entries x traces) up to which :func:`counter_add`
+#: skips the carry-save adder and unpacks every entry: below it, the
+#: adder's fixed per-round cost exceeds the unpacking it saves.
+COUNTER_DIRECT_BITS = 1 << 21
+
+#: Row-trace bits at which the carry-save adder stops early: the rounds
+#: that would remain cost more than unpacking the rows left.
+COUNTER_TAIL_BITS = 1 << 18
+
+
+def counter_add(
+    counts: np.ndarray,
+    masks: np.ndarray,
+    bins: np.ndarray,
+    weights: "np.ndarray | None" = None,
+    rows: "np.ndarray | None" = None,
+) -> None:
+    """Add weighted toggle masks into per-bin integer counters.
+
+    ``counts[bins[i]] += weights[i] * bits(masks[rows[i]])`` for every
+    entry ``i``, exactly: ``counts`` is ``(n_bins, n_traces)`` int64,
+    ``masks`` either ``(k, n_lanes)`` uint64 lanes (pad bits beyond
+    ``n_traces`` are dropped) or ``(k, n_traces)`` bool rows,
+    ``weights`` non-negative integers (default 1) and ``rows`` the mask
+    row of each entry (default: entry ``i`` is row ``i``).  Beyond
+    :data:`COUNTER_DIRECT_BITS`, a segmented carry-save adder first sums
+    the rows of each (bin, weight bit) in the packed domain, so only a
+    few rows per bin are ever unpacked.
     """
-    return int.from_bytes(lanes.tobytes(), "little")
+    bins = np.asarray(bins, dtype=np.intp)
+    if len(bins) == 0:
+        return
+    if rows is None:
+        rows = np.arange(len(bins))
+    if weights is None:
+        weights = np.ones(len(bins), dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.int64)
+    n = counts.shape[1]
+    if len(bins) * n > COUNTER_DIRECT_BITS:
+        if masks.dtype == bool:
+            masks = pack_bool(masks)
+        bins, weights, masks = _carry_save(masks, bins, weights, rows, n)
+        rows = np.arange(len(bins))
+    elif np.any(bins[1:] < bins[:-1]):
+        order = np.argsort(bins, kind="stable")
+        bins, weights, rows = bins[order], weights[order], rows[order]
+    # Each bin's total is a weighted sum of 0/1 rows: a vector-matrix
+    # product, exact in float32 while every partial sum (at most the
+    # bin's weight total) stays below 2^24, else in float64.
+    starts = np.flatnonzero(np.diff(bins, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(bins)]):
+        sel = masks[rows[lo:hi]]
+        bits = sel.view(np.uint8) if sel.dtype == bool else unpack_u8(sel, n)
+        w = weights[lo:hi]
+        exact32 = int(w.sum()) < (1 << COUNTER_EXACT_BITS)
+        total = w.astype(np.float32 if exact32 else np.float64) @ bits
+        counts[bins[lo]] += total.astype(np.int64)
 
 
-def counter_add(planes: "list[int]", mask: int, shift: int = 0) -> None:
-    """Ripple-carry add of a 1-bit-per-trace ``mask`` into vertical
-    counter ``planes``, scaled by ``2**shift``.
+def _carry_save(masks, bins, weights, rows, n_traces):
+    """Compress weighted rows to a few power-of-two rows per bin.
 
-    ``planes[j]`` holds bit ``j`` of every trace's count (as a big int,
-    see :func:`lanes_to_int`); the list grows in place as counts carry
-    into new planes.  A weight-``w`` toggle is added by calling this
-    once per set bit of ``w`` with that bit position as ``shift`` —
-    binary weight decomposition instead of multiplication.
+    Every entry enters once per set bit ``j`` of its weight, under the
+    key ``bin * COUNTER_KEY_PLANES + j``.  Each round applies a full
+    adder to every whole triple of rows of one key — the sum stays at
+    the key, the carry moves to ``key + 1`` — and a half adder to keys
+    holding exactly two rows; leftovers wait for the next round.
+    Rounds stop once no key holds three rows, or once the rows left
+    fit :data:`COUNTER_TAIL_BITS` when unpacked.
+
+    Returns ``(bins, weights, planes)`` of the remaining rows, sorted
+    by bin, with weights ``2**j``: the same weighted per-trace totals
+    per bin.
     """
-    carry = mask
-    j = shift
-    n = len(planes)
-    while carry:
-        if j >= n:
-            planes.extend([0] * (j - n))
-            planes.append(carry)
-            return
-        p = planes[j]
-        planes[j] = p ^ carry
-        carry = p & carry
-        j += 1
-
-
-def counter_unpack(
-    planes: "list[int]", lanes: int, count: int
-) -> np.ndarray:
-    """Materialise vertical counter ``planes`` as per-trace totals.
-
-    Returns a ``(count,)`` int64 array; pad bits beyond ``count`` are
-    dropped.  This runs once per bin per batch — the only point where
-    packed power accumulation leaves the bit-plane domain.
-    """
-    totals = np.zeros(count, dtype=np.int64)
-    nbytes = lanes * 8
-    for j, plane in enumerate(planes):
-        if not plane:
-            continue
-        words = np.frombuffer(plane.to_bytes(nbytes, "little"), dtype=np.uint64)
-        totals += unpack_u8(words, count).astype(np.int64) << j
-    return totals
+    per_bit = [
+        np.flatnonzero((weights >> j) & 1)
+        for j in range(int(weights.max()).bit_length())
+    ]
+    if not per_bit:  # every weight is zero
+        return bins[:0], weights[:0], masks[:0]
+    key = np.concatenate(
+        [bins[e] * COUNTER_KEY_PLANES + j for j, e in enumerate(per_bit)]
+    )
+    order = np.concatenate(per_bit)
+    sort = np.argsort(key, kind="stable")
+    key = key[sort]
+    order = rows[order[sort]]
+    data = masks
+    width = masks.shape[1]
+    while True:
+        n = len(key)
+        head = np.empty(n, dtype=bool)
+        head[0] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        sizes = np.diff(starts, append=n)
+        if sizes.max() < 3 or n * n_traces <= COUNTER_TAIL_BITS:
+            level = key % COUNTER_KEY_PLANES
+            return key // COUNTER_KEY_PLANES, 1 << level, data[order]
+        size = np.repeat(sizes, sizes)
+        rank = np.arange(n) - np.repeat(starts, sizes)
+        in_fa = rank < size - size % 3
+        fa = np.flatnonzero(in_fa)
+        ha = np.flatnonzero((size == 2) & (rank == 0))
+        rest = np.flatnonzero(~in_fa & (size != 2))
+        m, h = len(fa) // 3, len(ha)
+        # next rows: full-adder sums, carries, half-adder sums, carries, rest
+        nxt = np.empty((2 * m + 2 * h + len(rest), width), dtype=data.dtype)
+        triples = data[order[fa]].reshape(m, 3, width)
+        a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
+        fa_sum, fa_carry = nxt[:m], nxt[m : 2 * m]
+        np.bitwise_xor(a, b, out=fa_sum)
+        np.bitwise_and(a, b, out=fa_carry)
+        fa_carry |= np.bitwise_and(fa_sum, c, out=a)
+        fa_sum ^= c
+        if h:
+            a, b = data[order[ha]], data[order[ha + 1]]
+            np.bitwise_xor(a, b, out=nxt[2 * m : 2 * m + h])
+            np.bitwise_and(a, b, out=nxt[2 * m + h : 2 * m + 2 * h])
+        nxt[2 * m + 2 * h :] = data[order[rest]]
+        key_fa, key_ha = key[fa[::3]], key[ha]
+        key = np.concatenate(
+            [key_fa, key_fa + 1, key_ha, key_ha + 1, key[rest]]
+        )
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        data = nxt

@@ -93,6 +93,17 @@ class ClockedHarness:
         self._t_offset_ps = 0
         self._ffs: List[Gate] = circuit.ff_gates()
         self._ff_index = {g.name: i for i, g in enumerate(self._ffs)}
+        # Clock-edge gather tables: every FF's D and output wire, and
+        # the FFs with an enable pin (DFFE) with their EN wire.
+        self._ff_d = np.asarray([g.inputs[0] for g in self._ffs], np.intp)
+        self._ff_out = [g.output for g in self._ffs]
+        self._ffe = np.asarray(
+            [i for i, g in enumerate(self._ffs) if g.cell.name == "DFFE"],
+            dtype=np.intp,
+        )
+        self._ffe_en = np.asarray(
+            [self._ffs[i].inputs[1] for i in self._ffe], dtype=np.intp
+        )
         if self.sim.packed:
             self._ff_q = np.zeros(
                 (len(self._ffs), self.sim.n_lanes), dtype=np.uint64
@@ -177,30 +188,30 @@ class ClockedHarness:
     def _sample_ffs(
         self, reset: bool, reset_groups: Iterable[str]
     ) -> List[InputEvent]:
-        """Clock edge: sample D/EN, emit Q-change events at CLK_TO_Q."""
-        reset_idx = set()
-        for grp in reset_groups:
-            reset_idx.update(self._reset_groups.get(grp, ()))
-        events: List[InputEvent] = []
+        """Clock edge: sample D/EN, emit Q-change events at CLK_TO_Q.
+
+        One gather of every D (and DFFE EN) row, a bitwise DFFE mux
+        ``(en & d) | (~en & q)`` — bitwise in packed mode too, so pad
+        bits keep shadowing the last real trace — and one changed-row
+        test.  Events come out in FF index order.
+        """
+        q = self._ff_q
         vals = self.sim.values
-        packed = self.sim.packed
-        for i, ff in enumerate(self._ffs):
-            if reset or i in reset_idx:
-                new_q = np.zeros_like(self._ff_q[i])
-            elif ff.cell.name == "DFFE":
-                d, en = ff.inputs
-                if packed:
-                    # Bitwise mux (np.where is positional, not bitwise):
-                    # pad bits keep shadowing the last real trace.
-                    new_q = (vals[en] & vals[d]) | (~vals[en] & self._ff_q[i])
-                else:
-                    new_q = np.where(vals[en], vals[d], self._ff_q[i])
-            else:
-                new_q = vals[ff.inputs[0]].copy()
-            if not np.array_equal(new_q, self._ff_q[i]):
-                self._ff_q[i] = new_q
-                events.append((CLK_TO_Q_PS, ff.output, new_q))
-        return events
+        new_q = vals[self._ff_d]
+        if len(self._ffe):
+            en = vals[self._ffe_en]
+            held = q[self._ffe]
+            new_q[self._ffe] = (en & new_q[self._ffe]) | (~en & held)
+        if reset:
+            new_q[:] = 0
+        else:
+            for grp in reset_groups:
+                new_q[self._reset_groups.get(grp, [])] = 0
+        changed = np.flatnonzero((new_q != q).any(axis=1))
+        q[changed] = new_q[changed]
+        return [
+            (CLK_TO_Q_PS, self._ff_out[i], new_q[i]) for i in changed.tolist()
+        ]
 
     def step(
         self,

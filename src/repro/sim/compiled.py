@@ -1,4 +1,4 @@
-"""Schedule compiler + replay engine for the vectorised simulator.
+"""Schedule compiler + level-parallel replay engine.
 
 Every leakage campaign re-simulates the *same* circuit with the *same*
 input-event timing pattern thousands of times — only the per-trace data
@@ -11,29 +11,70 @@ call through a heap and per-event dicts, which is pure-Python overhead.
 This module removes that overhead:
 
 * :func:`compile_schedule` runs the scheduling algorithm **once**,
-  symbolically, and records the result as a flat program: a sequence of
-  time steps, each holding (a) the wire updates applied at that instant
-  and (b) the gate evaluations it triggers, grouped by cell opcode so a
-  whole group evaluates as one ``(n_gates_in_group, n_traces)`` numpy
-  expression;
-* :func:`replay` executes that program as straight-line numpy — no
-  heap, no dicts — with batched power-recorder updates per time bin.
+  symbolically, over every *potential* event, and records the result as
+  a flat *level program*: each potential gate evaluation reads its
+  input pins from the update (or start-of-call wire value) that pin
+  sees, and evaluations are grouped by (DAG level, cell function) into
+  index arrays.  Jittered delays make nearly every instant unique, but
+  the evaluation DAG of a clock cycle stays as shallow as the logic
+  (at most 11 levels for the masked DES).
+* :func:`replay` evaluates **every** potential evaluation with one
+  numpy call per (level, cell) group into an ``(n_rows, n_lanes)``
+  value matrix, derives every toggle mask with one gather (each update
+  XOR the previous value of the same wire), and reads liveness, event
+  counts and the settle time off those masks.
 
 Exactness
 ---------
 Replay is *transition-for-transition identical* to the interpreted
-path, not merely equivalent on average.  The compiled program is a
-conservative superset (every *potential* evaluation), and replay keeps
-the interpreter's data-dependent guards as vectorised masks:
+loop: same final wire values, same ordered stream of toggling updates,
+same ``events_processed``, same settle time, same budget errors.  The
+interpreter evaluates a gate only when one of its inputs toggled in at
+least one trace; replay evaluates it unconditionally.  That is safe
+because a skipped evaluation is a no-op:
 
-* a scheduled wire update is applied only if its producing evaluation
-  actually ran (``slot_valid``), mirroring "no event was scheduled";
-* a gate evaluates only if one of its inputs actually toggled in at
-  least one trace, mirroring the interpreter's ``toggled.any()`` skip;
-* power is recorded only for genuinely toggling updates, in the same
-  per-time order (required for the coupling model's coincidence
-  window), and the event budget / ``events_processed`` accounting
-  matches the interpreter's.
+* if gate ``g`` is potentially evaluated at ``t`` but none of its
+  inputs toggled there, its inputs still hold the values of its last
+  real evaluation (any later toggle would have triggered a real one),
+  or the start-of-call values if it never ran;
+* so the skipped evaluation recomputes the value that evaluation
+  scheduled — or, with no real evaluation, the gate's current output,
+  because the gate started *consistent*;
+* with a single driver per wire and fixed delays, that value lands on
+  a wire already holding it: a phantom update that toggles nothing, is
+  never recorded and makes no fanout evaluation live.
+
+Liveness follows from the toggle masks: an evaluation is live iff one
+of the updates triggering it toggled in some trace, and an update is
+real iff it is an input event or its producer is live.  The live count
+is ``events_processed``; the last real update is the settle time.
+
+Preconditions, checked rather than assumed:
+
+* **single driver, fixed delays** — structural properties of every
+  :class:`~repro.netlist.circuit.Circuit` (delays are baked in at
+  build time, see "Cache invalidation");
+* **no input event on a gate output** — :func:`compile_schedule`
+  returns ``None`` (interpret) for patterns that drive the output of a
+  gate they also evaluate;
+* **consistent start** — every gate the program evaluates must output
+  ``f(inputs)`` when the call starts.  Replay checks this with one numpy
+  call per cell function; a stale gate (e.g. after
+  :meth:`~repro.sim.vectorsim.VectorSimulator.reset_state`) makes that
+  call run the interpreted loop instead, which feeds the same recorder
+  sink.  A settle that ran to quiescence leaves every gate it touched
+  consistent, so campaigns replay every cycle after the first preload.
+
+Order: updates of one instant are listed in the interpreter's
+scheduling order, which follows the fanout of the updates that
+*toggled*.  Where a live evaluation was first reached through an update
+that did not toggle, the interpreter orders that instant's outputs
+differently; counting recorders do not care, but a call that feeds an
+ordered ``record_wire`` stream then runs the interpreted loop.
+
+If the event budget runs out, the call also runs the interpreted loop,
+which raises its :class:`~repro.sim.vectorsim.SimulationError` at the
+same instant, naming the same wires.
 
 Cache invalidation
 ------------------
@@ -99,44 +140,104 @@ _COMPILE_BUDGET_FACTOR = 1
 #: Maximum number of distinct timing patterns cached per circuit.
 _CACHE_CAPACITY = 128
 
+#: Updates per gather when replay XORs toggle masks.
+_CHUNK = 2048
+
+
+def _scratch(workspace: dict, name: str, shape, dtype) -> np.ndarray:
+    """A ``shape`` buffer named ``name`` in ``workspace``, grown on
+    demand and reused by later calls."""
+    size = int(np.prod(shape))
+    buf = workspace.get(name)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        buf = workspace[name] = np.empty(size, dtype=dtype)
+    return buf[:size].reshape(shape)
+
+
+def _gather(workspace: dict, name: str, source, index) -> np.ndarray:
+    """``source[index]`` into the workspace buffer ``name``."""
+    shape = index.shape + source.shape[1:]
+    out = _scratch(workspace, name, shape, source.dtype)
+    return np.take(source, index, axis=0, out=out, mode="clip")
+
 
 @dataclass
 class _EvalGroup:
-    """All gates of one cell type evaluating at one instant."""
+    """Every potential evaluation of one cell function at one DAG level.
+
+    Its outputs fill the contiguous value rows ``lo:hi``.
+    """
 
     evaluate: Callable[..., np.ndarray]
-    in_wires: np.ndarray  #: (n_pins, g) input wire ids
-    out_slots: np.ndarray  #: (g,) destination value slots
-    trig: np.ndarray  #: (g, k_updates) bool — which updates trigger row i
-    #: (g,) update index when every row has exactly one trigger, else None
-    #: (replay then gathers liveness instead of reducing the trig matrix).
-    trig_one: Optional[np.ndarray] = None
+    pins: np.ndarray  #: (n_pins, g) value rows read by each input pin
+    lo: int
+    hi: int
 
 
 @dataclass
-class _TimeStep:
-    """One event instant: wire updates, then triggered evaluations."""
+class _GateCheck:
+    """The program's gates of one cell function (consistency check)."""
 
-    t: float
-    upd_wires: np.ndarray  #: (k,) wire ids updated at t
-    upd_slots: np.ndarray  #: (k,) slots holding the scheduled values
-    groups: List[_EvalGroup]
+    evaluate: Callable[..., np.ndarray]
+    in_wires: np.ndarray  #: (n_pins, g)
+    out_wires: np.ndarray  #: (g,)
 
 
 @dataclass
 class CompiledSchedule:
-    """A replayable straight-line program for one timing pattern."""
+    """A replayable level program for one timing pattern.
 
-    steps: List[_TimeStep]
-    n_slots: int
-    input_slots: List[int]  #: slot of each input event, in event order
+    Value rows: ``[0, n_start)`` hold the start-of-call values of
+    ``start_wires``, the next ``len(pattern)`` rows the input events in
+    event order, the rest the outputs of the evaluation groups.
+    Updates are listed in the interpreter's processing order (time,
+    then scheduling order within an instant).
+    """
+
+    pattern: Tuple[Tuple[float, int], ...]
+    comb_fanout: Dict[int, List[int]]
+    n_rows: int
+    start_wires: np.ndarray  #: (n_start,) wires read at their call-start value
+    groups: List[_EvalGroup]  #: in level order
+    checks: List[_GateCheck]
+    upd_times: List[float]  #: time of each update (the pattern's own types)
+    upd_t: np.ndarray  #: the same times as float64
+    upd_wire: np.ndarray  #: (n_upd,) wire written by each update
+    upd_new: np.ndarray  #: (n_upd,) value row written
+    upd_old: np.ndarray  #: (n_upd,) value row the wire held before
+    upd_eval: np.ndarray  #: (n_upd,) producing evaluation, -1 for inputs
+    trig_eval: np.ndarray  #: (n_trig,) evaluation triggered ...
+    trig_upd: np.ndarray  #: ... by this same-instant update of an input
+    #: (n_evals,) the first update of its instant that triggers each
+    #: evaluation — what placed it in the fanout-dedup order
+    first_trig: np.ndarray
+    final_wires: np.ndarray  #: wires updated by the program ...
+    final_rows: np.ndarray  #: ... and the row of their last update
+    n_levels: int  #: depth of the evaluation DAG
     n_potential_evals: int  #: size of the conservative schedule
+
+    @property
+    def n_dispatches(self) -> int:
+        """Numpy evaluation calls per replay: one per (level, cell)."""
+        return len(self.groups)
+
+    def is_consistent(
+        self, values: np.ndarray, workspace: Optional[dict] = None
+    ) -> bool:
+        """Whether every gate the program evaluates outputs ``f(inputs)``
+        in ``values`` — the precondition of unconditional evaluation."""
+        ws = {} if workspace is None else workspace
+        for chk in self.checks:
+            ins = _gather(ws, "pins", values, chk.in_wires)
+            if not np.array_equal(chk.evaluate(*ins), values[chk.out_wires]):
+                return False
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (
-            f"CompiledSchedule({len(self.steps)} time steps, "
-            f"{self.n_potential_evals} potential evals, "
-            f"{self.n_slots} value slots)"
+            f"CompiledSchedule({self.n_potential_evals} potential evals in "
+            f"{self.n_levels} levels / {self.n_dispatches} dispatches, "
+            f"{len(self.upd_times)} updates)"
         )
 
 
@@ -149,10 +250,10 @@ def compile_schedule(
     pattern: Sequence[Tuple[float, int]],
     max_evals: Optional[int] = None,
 ) -> Optional[CompiledSchedule]:
-    """Run the event scheduler symbolically and record its trace.
+    """Run the event scheduler symbolically and record its level program.
 
     Mirrors ``VectorSimulator.settle`` exactly — same heap order, same
-    pending-slot overwrite rule (last write wins, original insertion
+    pending-update overwrite rule (last write wins, original insertion
     position kept), same fanout-dedup order — but propagates *potential*
     changes instead of values.
 
@@ -166,117 +267,188 @@ def compile_schedule(
             pathological patterns fall back to interpretation).
 
     Returns:
-        The compiled program, or ``None`` if compilation was abandoned.
+        The compiled program, or ``None`` if compilation was abandoned
+        (budget exceeded, or an input event drives the output of a gate
+        the program evaluates).
     """
     gates = circuit.gates
     if max_evals is None:
         max_evals = _COMPILE_BUDGET_FACTOR * (64 * max(1, len(gates)) + 64)
+    pattern = tuple(pattern)
+    n_wires = circuit.n_wires
+    # Source ids: wire w's start-of-call value is w, input event i is
+    # n_wires + i, evaluation e is base + e.
+    base = n_wires + len(pattern)
+    event_wires = {w for _, w in pattern}
 
-    free: List[int] = []
-    n_slots = 0
-
-    def alloc() -> int:
-        nonlocal n_slots
-        if free:
-            return free.pop()
-        s = n_slots
-        n_slots += 1
-        return s
-
-    # pending[t] = {wire: slot} — dict preserves the interpreter's
+    # pending[t] = {wire: source} — dict preserves the interpreter's
     # insertion order; overwriting keeps the original position, exactly
     # like the interpreter's ``slot[wire] = vals``.
     pending: Dict[float, Dict[int, int]] = {}
     heap: List[float] = []
     queued: set = set()
-
-    def schedule(t: float, wire: int, slot: int) -> None:
-        d = pending.setdefault(t, {})
-        old = d.get(wire)
-        if old is not None:
-            free.append(old)  # overwritten producer is never read
-        d[wire] = slot
+    for i, (t, wire) in enumerate(pattern):
+        pending.setdefault(t, {})[wire] = n_wires + i
         if t not in queued:
             queued.add(t)
             heapq.heappush(heap, t)
 
-    input_slots: List[int] = []
-    for t, wire in pattern:
-        s = alloc()
-        input_slots.append(s)
-        schedule(t, wire, s)
-
-    steps: List[_TimeStep] = []
-    total_evals = 0
+    cur: Dict[int, int] = {}  # wire -> source of its latest update
+    upd_times: List[float] = []
+    upd_wire: List[int] = []
+    upd_new: List[int] = []
+    upd_old: List[int] = []
+    e_gate: List[int] = []
+    e_pins: List[List[int]] = []
+    e_level: List[int] = []
+    trig_eval: List[int] = []
+    trig_upd: List[int] = []
+    e_first: List[int] = []
     while heap:
         t = heapq.heappop(heap)
         queued.discard(t)
         updates = pending.pop(t)
-        wires = list(updates.keys())
-        slots = list(updates.values())
-        # Consumed slots are reusable immediately: replay gathers their
-        # values before any same-instant evaluation writes new ones.
-        free.extend(slots)
-        wire_pos = {w: j for j, w in enumerate(wires)}
-
+        pos: Dict[int, int] = {}
         affected: List[int] = []
-        for w in wires:
-            affected.extend(comb_fanout.get(w, ()))
-        rows: List[Tuple[int, int, List[int]]] = []
+        for wire, src in updates.items():
+            pos[wire] = len(upd_times)
+            upd_times.append(t)
+            upd_wire.append(wire)
+            upd_new.append(src)
+            upd_old.append(cur.get(wire, wire))
+            cur[wire] = src
+            readers = comb_fanout.get(wire)
+            if readers:
+                affected.extend(readers)
         for gi in dict.fromkeys(affected):
-            total_evals += 1
-            if total_evals > max_evals:
+            e = len(e_gate)
+            if e >= max_evals:
                 return None
             g = gates[gi]
-            out_slot = alloc()
-            trig = sorted(
-                {wire_pos[w] for w in g.inputs if w in wire_pos}
-            )
-            rows.append((gi, out_slot, trig))
-            schedule(t + g.delay_ps, g.output, out_slot)
+            if g.output in event_wires:
+                return None
+            pins = [cur.get(w, w) for w in g.inputs]
+            level = 0
+            for src in pins:
+                if src >= base:
+                    lv = e_level[src - base]
+                    if lv > level:
+                        level = lv
+            e_gate.append(gi)
+            e_pins.append(pins)
+            e_level.append(level + 1)
+            first = len(upd_times)
+            for w in g.inputs:
+                u = pos.get(w)
+                if u is not None:
+                    trig_eval.append(e)
+                    trig_upd.append(u)
+                    first = min(first, u)
+            e_first.append(first)
+            tn = t + g.delay_ps
+            d = pending.get(tn)
+            if d is None:
+                pending[tn] = {g.output: base + e}
+            else:
+                d[g.output] = base + e
+            if tn not in queued:
+                queued.add(tn)
+                heapq.heappush(heap, tn)
+    return _assemble(
+        circuit, comb_fanout, pattern, base, cur, upd_times, upd_wire,
+        upd_new, upd_old, e_gate, e_pins, e_level, e_first, trig_eval,
+        trig_upd,
+    )
 
-        groups: List[_EvalGroup] = []
-        by_cell: Dict[str, List[Tuple[int, int, List[int]]]] = {}
-        for row in rows:
-            by_cell.setdefault(gates[row[0]].cell.name, []).append(row)
-        k = len(wires)
-        for cell_rows in by_cell.values():
-            g0 = gates[cell_rows[0][0]]
-            n_pins = len(g0.inputs)
-            in_wires = np.empty((n_pins, len(cell_rows)), dtype=np.intp)
-            out_slots = np.empty(len(cell_rows), dtype=np.intp)
-            trig = np.zeros((len(cell_rows), k), dtype=bool)
-            for i, (gi, out_slot, trig_cols) in enumerate(cell_rows):
-                in_wires[:, i] = gates[gi].inputs
-                out_slots[i] = out_slot
-                trig[i, trig_cols] = True
-            trig_one = None
-            if all(len(r[2]) == 1 for r in cell_rows):
-                trig_one = np.asarray(
-                    [r[2][0] for r in cell_rows], dtype=np.intp
-                )
-            groups.append(
-                _EvalGroup(
-                    evaluate=g0.cell.evaluate,
-                    in_wires=in_wires,
-                    out_slots=out_slots,
-                    trig=trig,
-                    trig_one=trig_one,
-                )
-            )
-        steps.append(
-            _TimeStep(
-                t=t,
-                upd_wires=np.asarray(wires, dtype=np.intp),
-                upd_slots=np.asarray(slots, dtype=np.intp),
-                groups=groups,
-            )
+
+def _assemble(
+    circuit, comb_fanout, pattern, base, cur, upd_times, upd_wire,
+    upd_new, upd_old, e_gate, e_pins, e_level, e_first, trig_eval, trig_upd,
+) -> CompiledSchedule:
+    """Turn the symbolic run's lists into the flat level program."""
+    gates = circuit.gates
+    n_wires = circuit.n_wires
+    n_events = len(pattern)
+    n_evals = len(e_gate)
+    intp = np.intp
+
+    # (level, cell function) groups, in level order.
+    funcs: Dict[Callable, int] = {}
+    e_func = [
+        funcs.setdefault(gates[gi].cell.evaluate, len(funcs)) for gi in e_gate
+    ]
+    key = np.asarray(e_level, dtype=intp) * max(1, len(funcs))
+    key += np.asarray(e_func, dtype=intp)
+    order = np.argsort(key, kind="stable")
+    bounds = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
+    lo_hi = list(zip([0, *bounds], [*bounds, n_evals])) if n_evals else []
+    evaluates = list(funcs)
+    order_list = order.tolist()
+    group_pins = [
+        np.asarray([e_pins[e] for e in order_list[lo:hi]], dtype=intp).T
+        for lo, hi in lo_hi
+    ]
+
+    # Source id -> value row.  Only wires actually read at their
+    # start-of-call value get a start row.
+    upd_old_a = np.asarray(upd_old, dtype=intp)
+    used = np.zeros(n_wires, dtype=bool)
+    used[upd_old_a[upd_old_a < n_wires]] = True
+    for pins in group_pins:
+        used[pins[pins < n_wires]] = True
+    start_wires = np.flatnonzero(used)
+    n_start = len(start_wires)
+    row_of = np.empty(base + n_evals, dtype=intp)
+    row_of[start_wires] = np.arange(n_start)
+    row_of[n_wires:base] = np.arange(n_start, n_start + n_events)
+    first_eval_row = n_start + n_events
+    row_of[base + order] = np.arange(first_eval_row, first_eval_row + n_evals)
+
+    groups = [
+        _EvalGroup(
+            evaluate=evaluates[int(key[order[lo]]) % len(evaluates)],
+            pins=row_of[pins],
+            lo=first_eval_row + lo,
+            hi=first_eval_row + hi,
         )
+        for (lo, hi), pins in zip(lo_hi, group_pins)
+    ]
+
+    by_func: Dict[Callable, List[int]] = {}
+    for gi in dict.fromkeys(e_gate):
+        by_func.setdefault(gates[gi].cell.evaluate, []).append(gi)
+    checks = [
+        _GateCheck(
+            evaluate=fn,
+            in_wires=np.asarray([gates[g].inputs for g in gis], dtype=intp).T,
+            out_wires=np.asarray([gates[g].output for g in gis], dtype=intp),
+        )
+        for fn, gis in by_func.items()
+    ]
+
+    upd_new_a = np.asarray(upd_new, dtype=intp)
+    upd_eval = upd_new_a - base
+    upd_eval[upd_eval < 0] = -1
     return CompiledSchedule(
-        steps=steps,
-        n_slots=n_slots,
-        input_slots=input_slots,
-        n_potential_evals=total_evals,
+        pattern=pattern,
+        comb_fanout=comb_fanout,
+        n_rows=first_eval_row + n_evals,
+        start_wires=start_wires,
+        groups=groups,
+        checks=checks,
+        upd_times=upd_times,
+        upd_t=np.asarray(upd_times, dtype=np.float64),
+        upd_wire=np.asarray(upd_wire, dtype=intp),
+        upd_new=row_of[upd_new_a],
+        upd_old=row_of[upd_old_a],
+        upd_eval=upd_eval,
+        trig_eval=np.asarray(trig_eval, dtype=intp),
+        trig_upd=np.asarray(trig_upd, dtype=intp),
+        first_trig=np.asarray(e_first, dtype=intp),
+        final_wires=np.asarray(list(cur), dtype=intp),
+        final_rows=row_of[np.asarray(list(cur.values()), dtype=intp)],
+        n_levels=max(e_level, default=0),
+        n_potential_evals=n_evals,
     )
 
 
@@ -440,12 +612,13 @@ def schedule_cache_counters() -> Dict[str, int]:
 def replay(
     schedule: CompiledSchedule,
     values: np.ndarray,
-    event_values: Sequence[np.ndarray],
+    events: Sequence[Tuple[float, int, np.ndarray]],
     recorder,
     t_offset: float,
     max_events: int,
     circuit=None,
     n_traces: Optional[int] = None,
+    workspace: Optional[dict] = None,
 ) -> Tuple[float, int]:
     """Execute a compiled program over ``(n_wires, n_traces)`` state.
 
@@ -454,241 +627,114 @@ def replay(
         values: The simulator's wire-value matrix (mutated in place):
             ``(n_wires, n_traces)`` bool, or ``(n_wires, n_lanes)``
             ``uint64`` in packed mode (:mod:`repro.sim.bitpack`).
-        event_values: One coerced array per input event, in the order
-            of the compiled pattern — ``(n_traces,)`` bool, or
-            ``(n_lanes,)`` uint64 in packed mode.
-        recorder: Optional power recorder.  Recorders with coupling
-            partners (or without :meth:`add_energy`) take the exact
-            per-wire path; plain recorders get one batched per-time-bin
-            energy update; :class:`~repro.sim.power.NullRecorder`
-            (``is_null``) skips all recording arithmetic entirely.
+        events: The ``(time, wire, values)`` input events of the
+            compiled pattern, in its order, with coerced values —
+            ``(n_traces,)`` bool, or ``(n_lanes,)`` uint64 in packed
+            mode.
+        recorder: Optional power recorder, fed through
+            :func:`repro.sim.power.toggle_sink`: counting recorders get
+            one :meth:`~repro.sim.power.PackedToggleAccumulator.add` of
+            every live toggle row, all others the ordered
+            :meth:`record_wire` stream; a null recorder gets nothing.
         t_offset: Absolute time of this call's t=0.
         max_events: Gate-evaluation budget (same semantics as the
             interpreter's).
-        circuit: The owning circuit, used only for diagnostics (name
-            and oscillating-wire names in budget errors).
+        circuit: The owning circuit (diagnostics in budget errors, and
+            the interpreted fallback).
         n_traces: Real trace count in packed mode (pad bits are
-            stripped before anything reaches the recorder); ``None``
-            means boolean state.
+            stripped before anything reaches a ``record_wire`` stream);
+            ``None`` means boolean state.
+        workspace: A dict the caller keeps across calls; replay reuses
+            the value, gather and toggle buffers it finds there instead
+            of allocating (and page-faulting) fresh ones every cycle
+            (not for ``record_wire`` streams, which get row views).
 
-    In packed mode every guard and state update below runs on the
-    64x-smaller lane words, and recording stays packed too: when the
-    recorder offers a packed accumulator
-    (:meth:`~repro.sim.power.PowerRecorder.packed_accumulator`), each
-    live toggle mask is ripple-carry-added into per-bin counter planes
-    (:mod:`repro.sim.bitpack`) and only unpacked once per batch —
-    bitwise-identical to the boolean engine below the
-    ``2**COUNTER_EXACT_BITS`` bound.  Recorders without a packed path
-    (coupling partners, custom recorders) fall back to lazy per-event
-    unpacking: toggle masks become per-trace bits only at recording
-    points and only when at least one lane toggled, feeding the exact
-    float expressions of the boolean path (pad bits shadow the last
-    real trace — see :mod:`repro.sim.bitpack` — so liveness and event
-    accounting match too).
+    If a gate of the program is stale (see "Exactness" in the module
+    docstring) the call runs the interpreted loop instead.
 
     Returns:
         ``(settle_time, n_gate_evaluations)``.
     """
-    from .bitpack import unpack_bool, unpack_u8
-    from .vectorsim import budget_error
+    from .bitpack import unpack_bool
+    from .power import toggle_sink
+    from .vectorsim import interpret
 
-    packed = n_traces is not None
-    n = values.shape[1] if values.ndim == 2 else 0
-    slot_values = np.empty((max(1, schedule.n_slots), n), dtype=values.dtype)
-    slot_valid = np.zeros(max(1, schedule.n_slots), dtype=bool)
-    for slot, vals in zip(schedule.input_slots, event_values):
-        slot_values[slot] = vals
-        slot_valid[slot] = True
+    acc, record_wire = toggle_sink(
+        recorder, values.shape[1] if n_traces is None else n_traces
+    )
+    # A record_wire stream receives views of the value and toggle rows
+    # and may keep them, so such calls get buffers of their own.
+    ws = {} if workspace is None or record_wire is not None else workspace
+    if not schedule.is_consistent(values, ws):
+        return interpret(
+            circuit, schedule.comb_fanout, values, events, recorder,
+            t_offset, max_events, n_traces,
+        )
 
-    record_wire = None
-    add_energy = None
-    acc_add = None
-    weights = None
-    if recorder is not None and not getattr(recorder, "is_null", False):
-        if packed and hasattr(recorder, "packed_accumulator"):
-            acc = recorder.packed_accumulator(n_traces, values.shape[1])
-            if acc is not None:
-                acc_add = acc.add
-        if acc_add is None:
-            batched = not getattr(recorder, "_partners", None)
-            add_energy = (
-                getattr(recorder, "add_energy", None) if batched else None
-            )
-            if add_energy is None:
-                record_wire = recorder.record_wire
+    shape = (schedule.n_rows,) + values.shape[1:]
+    rows = _scratch(ws, "rows", shape, values.dtype)
+    n_start = len(schedule.start_wires)
+    rows[:n_start] = _gather(ws, "pins", values, schedule.start_wires)
+    for i, (_, _, vals) in enumerate(events, n_start):
+        rows[i] = vals
+    for grp in schedule.groups:
+        pins = _gather(ws, "pins", rows, grp.pins)
+        rows[grp.lo : grp.hi] = grp.evaluate(*pins)
+
+    # Toggle masks: each update XOR the wire's previous value (in
+    # chunks, so the gathered previous values stay small).
+    toggles = _gather(ws, "toggles", rows, schedule.upd_new)
+    old = schedule.upd_old
+    for lo in range(0, len(old), _CHUNK):
+        chunk = old[lo : lo + _CHUNK]
+        toggles[lo : lo + len(chunk)] ^= _gather(ws, "old", rows, chunk)
+    live_upd = toggles.any(axis=1)
+    # live[e]: evaluation e had a toggling trigger; the extra last
+    # entry stands for "input event" (upd_eval == -1), always real.
+    live = np.zeros(schedule.n_potential_evals + 1, dtype=bool)
+    live[schedule.trig_eval[live_upd[schedule.trig_upd]]] = True
+    live[-1] = True
+    n_evals = int(np.count_nonzero(live)) - 1
+    # Two cases need the interpreter's own order of an instant's
+    # updates, so the call interprets (``values`` is still untouched):
+    # an exhausted budget (its error names the updates of the failing
+    # instant), and an ordered stream where a live evaluation was first
+    # reached through an update that did not toggle — the interpreter
+    # only fans out from toggles, so it orders that instant's
+    # evaluations, and the outputs they schedule together, differently.
+    if n_evals > max_events or (
+        record_wire is not None
+        and np.any(live[:-1] & ~live_upd[schedule.first_trig])
+    ):
+        return interpret(
+            circuit, schedule.comb_fanout, values, events, recorder,
+            t_offset, max_events, n_traces,
+        )
+    real_idx = np.flatnonzero(live[schedule.upd_eval])
+    last_t = schedule.upd_times[real_idx[-1]] if len(real_idx) else 0
+
+    values[schedule.final_wires] = rows[schedule.final_rows]
+    if acc is not None:
+        live_idx = np.flatnonzero(live_upd)
+        acc.add(
+            t_offset + schedule.upd_t[live_idx],
+            schedule.upd_wire[live_idx],
+            toggles,
+            live_idx,
+        )
+    elif record_wire is not None:
+        times = schedule.upd_times
+        wires = schedule.upd_wire
+        new = schedule.upd_new
+        for u in np.flatnonzero(live_upd).tolist():
+            if n_traces is None:
+                record_wire(t_offset + times[u], int(wires[u]), toggles[u],
+                            rows[new[u]])
             else:
-                weights = getattr(recorder, "_weights", None)
-
-    budget = max_events
-    processed = 0
-    last_t: float = 0
-    f32 = np.float32
-    for step in schedule.steps:
-        slots = step.upd_slots
-        wires = step.upd_wires
-
-        # --- single-update fast path: 1-D views, no fancy indexing ----
-        if len(slots) == 1:
-            s0 = slots[0]
-            if not slot_valid[s0]:
-                # Nothing was scheduled here, so none of the step's
-                # evaluations run — their (possibly reused) output
-                # slots must not keep a stale validity.
-                for grp in step.groups:
-                    slot_valid[grp.out_slots] = False
-                continue
-            last_t = step.t
-            w0 = wires[0]
-            new_row = slot_values[s0]
-            toggled_row = values[w0] ^ new_row
-            if acc_add is not None:
-                # Packed-domain recording: convert the lane mask to a
-                # big-int once — the int doubles as the liveness test
-                # (zero mask = no toggle), so this path never pays the
-                # per-event ndarray.any() reduction.
-                mask0 = int.from_bytes(toggled_row.tobytes(), "little")
-                live0 = mask0 != 0
-                if live0:
-                    values[w0] = new_row
-                    acc_add(t_offset + step.t, int(w0), mask0)
-            elif (live0 := bool(toggled_row.any())):
-                values[w0] = new_row
-                if record_wire is not None:
-                    if packed:
-                        record_wire(
-                            t_offset + step.t,
-                            int(w0),
-                            unpack_bool(toggled_row, n_traces),
-                            unpack_bool(new_row, n_traces),
-                        )
-                    else:
-                        record_wire(
-                            t_offset + step.t, int(w0), toggled_row, new_row
-                        )
-                elif add_energy is not None:
-                    # Identical arithmetic to record_wire's accumulation,
-                    # so this path is bitwise exact for *any* weights.
-                    scale = f32(1.0) if weights is None else f32(weights[w0])
-                    bits = (
-                        unpack_u8(toggled_row, n_traces)
-                        if packed
-                        else toggled_row
-                    )
-                    add_energy(t_offset + step.t, bits * scale)
-            for grp in step.groups:
-                # k == 1: every row is triggered by the sole update.
-                out_slots = grp.out_slots
-                slot_valid[out_slots] = live0
-                if not live0:
-                    continue
-                cnt = len(out_slots)
-                budget -= cnt
-                if budget < 0:
-                    raise budget_error(circuit, step.t, max_events, wires)
-                processed += cnt
-                iw = grp.in_wires
-                if len(iw) == 2:
-                    out = grp.evaluate(values[iw[0]], values[iw[1]])
-                elif len(iw) == 1:
-                    out = grp.evaluate(values[iw[0]])
-                else:
-                    out = grp.evaluate(*(values[w] for w in iw))
-                slot_values[out_slots] = out
-            continue
-
-        # --- general path: k simultaneous updates ---------------------
-        valid = slot_valid[slots]
-        all_valid = valid.all()
-        if not all_valid and not valid.any():
-            # Dead step: invalidate its outputs (slot reuse, see above).
-            for grp in step.groups:
-                slot_valid[grp.out_slots] = False
-            continue
-        last_t = step.t
-        new = slot_values[slots]
-        toggled = values[wires] ^ new
-        if not all_valid:
-            toggled[~valid] = False
-        live = toggled.any(axis=1)
-        n_live = int(live.sum())
-        if n_live:
-            if n_live == len(live):
-                values[wires] = new
-            else:
-                values[wires[live]] = new[live]
-            if acc_add is not None:
-                # One tobytes() for the whole step; per-row big-ints
-                # come from byte slices instead of ndarray views.
-                t_abs = t_offset + step.t
-                data = toggled.tobytes()
-                stride = toggled.shape[1] * 8
-                for r in np.nonzero(live)[0]:
-                    o = r * stride
-                    acc_add(
-                        t_abs,
-                        int(wires[r]),
-                        int.from_bytes(data[o : o + stride], "little"),
-                    )
-            elif record_wire is not None:
-                t_abs = t_offset + step.t
-                if packed:
-                    for r in np.nonzero(live)[0]:
-                        record_wire(
-                            t_abs,
-                            int(wires[r]),
-                            unpack_bool(toggled[r], n_traces),
-                            unpack_bool(new[r], n_traces),
-                        )
-                else:
-                    for r in np.nonzero(live)[0]:
-                        record_wire(t_abs, int(wires[r]), toggled[r], new[r])
-            elif add_energy is not None:
-                if packed:
-                    # Unpack and dot only the rows that actually
-                    # toggled — dead rows contribute exact float zeros,
-                    # so dropping them cannot change any partial sum
-                    # (the same argument that makes this batched path
-                    # bit-identical to per-wire accumulation for the
-                    # integer-valued weights, see
-                    # PowerRecorder.add_energy).  Row order is kept.
-                    idx = np.nonzero(live)[0]
-                    bits = unpack_u8(toggled[idx], n_traces)
-                    if weights is None:
-                        energy = np.dot(np.ones(len(idx), dtype=f32), bits)
-                    else:
-                        energy = np.dot(weights[wires[idx]].astype(f32), bits)
-                else:
-                    if weights is None:
-                        energy = np.dot(
-                            np.ones(len(wires), dtype=f32),
-                            toggled.view(np.uint8),
-                        )
-                    else:
-                        energy = np.dot(
-                            weights[wires].astype(f32),
-                            toggled.view(np.uint8),
-                        )
-                add_energy(t_offset + step.t, energy)
-        for grp in step.groups:
-            out_slots = grp.out_slots
-            if grp.trig_one is not None:
-                glive = live[grp.trig_one]
-            else:
-                glive = (grp.trig & live).any(axis=1)
-            slot_valid[out_slots] = glive
-            cnt = int(glive.sum())
-            if cnt == 0:
-                continue
-            budget -= cnt
-            if budget < 0:
-                raise budget_error(circuit, step.t, max_events, wires)
-            processed += cnt
-            iw = grp.in_wires
-            if len(iw) == 2:
-                out = grp.evaluate(values[iw[0]], values[iw[1]])
-            elif len(iw) == 1:
-                out = grp.evaluate(values[iw[0]])
-            else:
-                out = grp.evaluate(*(values[w] for w in iw))
-            slot_values[out_slots] = out
-    return last_t, processed
+                record_wire(
+                    t_offset + times[u],
+                    int(wires[u]),
+                    unpack_bool(toggles[u], n_traces),
+                    unpack_bool(rows[new[u]], n_traces),
+                )
+    return last_t, n_evals

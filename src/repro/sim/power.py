@@ -27,6 +27,7 @@ in the first order even when probing-secure (cf. De Cnudde et al.,
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,7 +36,7 @@ import numpy as np
 from ..obs import metrics as obs_metrics
 from ..obs.log import get_logger
 from ..obs.trace import trace
-from .bitpack import COUNTER_EXACT_BITS, counter_add, counter_unpack
+from .bitpack import COUNTER_EXACT_BITS, counter_add
 
 _LOG = get_logger("sim.power")
 
@@ -50,6 +51,7 @@ __all__ = [
     "PackedAccumulatorOverflowWarning",
     "packed_accumulator_counters",
     "reset_packed_accumulator_counters",
+    "toggle_sink",
 ]
 
 
@@ -91,8 +93,8 @@ def packed_accumulator_counters() -> Dict[str, int]:
 
     A stable re-export of the :mod:`repro.obs.metrics` registry
     entries (``packed_accumulator.*``): ``accumulators`` instances
-    created, ``flushes`` end-of-batch counter-plane unpacks,
-    ``max_planes`` deepest per-bin counter seen and ``overflow_bins``
+    created, ``flushes`` end-of-batch count deposits, ``max_planes``
+    bit-planes of the largest per-bin count seen and ``overflow_bins``
     that crossed the 2^24 exactness bound.
     """
     return {
@@ -147,9 +149,12 @@ def default_weights(fanout: Dict[int, List[int]], n_wires: int) -> np.ndarray:
 class PowerRecorder:
     """Accumulates transition energy into a (n_traces, n_bins) matrix.
 
-    The simulator calls :meth:`record_batch` once per event time with
-    all wires that changed at that instant, so coincident-transition
-    coupling can be evaluated exactly.
+    The simulation engines feed it one of two ways (see
+    :func:`toggle_sink`): a counting recorder (:attr:`accepts_packed`)
+    receives whole toggle-mask batches through its
+    :class:`PackedToggleAccumulator`; otherwise every toggling wire
+    arrives through :meth:`record_wire` in simulation order, so
+    coincident-transition coupling can be evaluated exactly.
     """
 
     def __init__(
@@ -187,7 +192,7 @@ class PowerRecorder:
     def power(self) -> np.ndarray:
         """The accumulated (n_traces, n_bins) power matrix.
 
-        Reading it flushes any pending packed counter planes first, so
+        Reading it flushes any pending packed counts first, so
         callers always see the complete batch.
         """
         if self._packed_acc is not None:
@@ -196,14 +201,15 @@ class PowerRecorder:
 
     @property
     def accepts_packed(self) -> bool:
-        """Whether packed simulation may hand this recorder lane words
-        via :meth:`packed_accumulator` instead of unpacked booleans.
+        """Whether this is a *counting* recorder: engines may hand it
+        whole toggle masks through :meth:`packed_accumulator` instead of
+        the ordered per-wire :meth:`record_wire` stream.
 
         Requires toggle-count-only semantics (no coupling partners —
-        coupling needs per-trace transition *signs*) and weights that
-        are small non-negative integers, so counter-plane accumulation
-        stays bitwise-equal to sequential float32 adds (see
-        ``COUNTER_EXACT_BITS``).
+        coupling needs per-trace transition *signs* in order) and
+        weights that are small non-negative integers, so integer
+        accumulation stays bitwise-equal to sequential float32 adds
+        (see ``COUNTER_EXACT_BITS``).
         """
         if self._partners:
             return False
@@ -218,15 +224,16 @@ class PowerRecorder:
         return True
 
     def packed_accumulator(
-        self, n_traces: int, lanes: int
+        self, n_traces: int, lanes: Optional[int] = None
     ) -> Optional["PackedToggleAccumulator"]:
-        """The packed-domain sink for this recorder, or ``None``.
+        """The counting sink for this recorder, or ``None``.
 
         Engines call this once per settle/replay; the accumulator is
         reused across calls within a batch and flushed lazily when
         :attr:`power` / :meth:`samples` is read.  Returns ``None`` when
-        :attr:`accepts_packed` is false — callers must then fall back
-        to the per-event unpack leg (:meth:`record_wire`).
+        :attr:`accepts_packed` is false — callers must then use the
+        ordered :meth:`record_wire` stream.  ``lanes`` (the masks' lane
+        count) is not needed: counts are kept per trace.
         """
         if not self.accepts_packed:
             return None
@@ -235,13 +242,9 @@ class PowerRecorder:
                 f"recorder holds {self.n_traces} traces, "
                 f"packed batch has {n_traces}"
             )
-        acc = self._packed_acc
-        if acc is None or acc.lanes != lanes:
-            if acc is not None:
-                acc.flush()
-            acc = PackedToggleAccumulator(self, lanes)
-            self._packed_acc = acc
-        return acc
+        if self._packed_acc is None:
+            self._packed_acc = PackedToggleAccumulator(self)
+        return self._packed_acc
 
     def _note_clamped(self, t_ps, count: int = 1) -> None:
         self.stats["clamped_events"] += count
@@ -295,14 +298,11 @@ class PowerRecorder:
         self._last_transition[wire] = (t_ps, sign)
 
     def add_energy(self, t_ps, energy: np.ndarray) -> None:
-        """Batched path: pre-summed transition energy of one instant.
+        """Deposit pre-summed energy ``(n_traces,)`` at ``t_ps``.
 
-        The compiled replay engine sums ``weight(w) * toggled(w)`` over
-        every wire that switched at ``t_ps`` into one ``(n_traces,)``
-        vector and deposits it with a single call — one column update
-        per time bin instead of one per wire.  With the default
-        integer-valued weights the result is bit-identical to the
-        per-wire :meth:`record_wire` accumulation.
+        A direct column add for callers that compute their own energy;
+        the simulation engines record through :meth:`record_wire` or
+        :meth:`packed_accumulator` instead.
         """
         b = int(t_ps // self.bin_ps)
         if b >= self.n_bins:
@@ -331,20 +331,18 @@ class PowerRecorder:
 
 
 class PackedToggleAccumulator:
-    """Packed-domain power accumulation: bit-sliced vertical counters.
+    """Exact integer power accumulation for counting recorders.
 
-    The packed engine's toggle masks are ``(n_lanes,)`` uint64 words,
-    one trace per bit.  Instead of unpacking each mask to booleans for
-    a float32 add (the per-event leg that made ``campaign_packed``
-    *slower* than boolean), this sink keeps, per time bin, a list of
-    counter *bit-planes*: plane ``j`` holds bit ``j`` of every trace's
-    running toggle-energy count.  Adding a mask is a ripple-carry add
-    over Python big-ints (:func:`repro.sim.bitpack.counter_add`);
-    integer weights ``1 + fanout`` decompose in binary so a weight-
-    ``w`` toggle issues one shifted add per set bit of ``w``.  Planes
-    are unpacked to the ``(n_traces, n_bins)`` float32 matrix exactly
-    once, at :meth:`flush` (end of batch) — bitwise-identical to the
-    boolean engine while per-bin counts stay below
+    Each engine call hands over *all* its live toggle rows at once —
+    ``(k, n_lanes)`` uint64 masks, or ``(k, n_traces)`` boolean rows
+    from the boolean engine — with their times and wires.  :meth:`add`
+    maps times to bins and lets :func:`repro.sim.bitpack.counter_add`
+    sum the rows weighted by ``1 + fanout`` (a packed segmented
+    carry-save adder per (bin, weight bit) for large batches) into
+    exact int64 per-bin, per-trace counts.  :meth:`flush` casts
+    the counts to float32 into the recorder's power matrix exactly once
+    per batch — bitwise-identical to the boolean engine's sequential
+    float32 adds while per-bin counts stay below
     ``2**COUNTER_EXACT_BITS`` (guarded loudly, see
     :class:`PackedAccumulatorOverflowWarning`).
 
@@ -352,97 +350,116 @@ class PackedToggleAccumulator:
     directly — the recorder owns flushing and the compatibility check.
     """
 
-    def __init__(self, recorder: PowerRecorder, lanes: int):
-        self.recorder = recorder
-        self.lanes = lanes
+    def __init__(self, recorder: PowerRecorder):
+        # A proxy, not a reference: the recorder already holds its
+        # accumulator, and a reference cycle would keep every batch's
+        # power matrix alive until the cyclic garbage collector runs.
+        self.recorder = weakref.proxy(recorder)
         self.bin_ps = recorder.bin_ps
         self.n_bins = recorder.n_bins
-        # bin -> counter planes (list of big-ints, LSB plane first)
-        self._bins: Dict[int, List[int]] = {}
-        # wire -> set-bit positions of its integer weight
-        self._shifts: Dict[int, Tuple[int, ...]] = {}
+        w = recorder._weights
+        self._weights = None if w is None else w.astype(np.int64)
+        #: (n_bins, n_traces) exact counts, allocated on the first add
+        self._counts: Optional[np.ndarray] = None
+        self._touched = np.zeros(self.n_bins, dtype=bool)
         obs_metrics.inc(_M_ACCUMULATORS)
 
-    def _wire_shifts(self, wire: int) -> Tuple[int, ...]:
-        shifts = self._shifts.get(wire)
-        if shifts is None:
-            weights = self.recorder._weights
-            w = 1 if weights is None else int(weights[wire])
-            shifts = tuple(
-                j for j in range(w.bit_length()) if (w >> j) & 1
-            )
-            self._shifts[wire] = shifts
-        return shifts
+    def add(self, t_ps, wires, toggled, rows=None) -> None:
+        """Accumulate toggle masks: mask ``toggled[rows[i]]`` is wire
+        ``wires[i]``'s ``old ^ new`` at absolute time ``t_ps[i]``.
 
-    def add(self, t_ps, wire: int, toggled) -> None:
-        """Accumulate one wire's packed toggle mask at time ``t_ps``.
-
-        ``toggled`` is the ``(n_lanes,)`` uint64 ``old ^ new`` mask —
-        or that mask already converted to a big-int (the compiled
-        replay loop converts once, reusing the int as its liveness
-        test, so the hot path never touches numpy here).  Pad bits
-        ride along harmlessly — they are dropped at unpack time.
+        ``rows`` defaults to every row of ``toggled`` in order; scalars
+        are accepted for a single row.  ``toggled`` holds uint64 lanes
+        (pad bits ride along harmlessly — they are dropped when counts
+        are unpacked) or boolean per-trace rows.
         """
-        mask = (
-            toggled
-            if type(toggled) is int
-            else int.from_bytes(toggled.tobytes(), "little")
+        t = np.atleast_1d(np.asarray(t_ps, dtype=np.float64))
+        wires = np.atleast_1d(np.asarray(wires, dtype=np.intp))
+        if not len(wires):
+            return
+        masks = np.asarray(toggled)
+        masks = masks.reshape(-1, masks.shape[-1])
+        if rows is None:
+            rows = np.arange(len(wires))
+        bins = (t // self.bin_ps).astype(np.intp)
+        clamped = bins >= self.n_bins
+        if clamped.any():
+            self.recorder._note_clamped(
+                t[clamped][0].item(), int(np.count_nonzero(clamped))
+            )
+            bins[clamped] = self.n_bins - 1
+        if self._counts is None:
+            self._counts = np.zeros(
+                (self.n_bins, self.recorder.n_traces), dtype=np.int64
+            )
+        self._touched[bins] = True
+        counter_add(
+            self._counts,
+            masks,
+            bins,
+            None if self._weights is None else self._weights[wires],
+            rows,
         )
-        b = int(t_ps // self.bin_ps)
-        if b >= self.n_bins:
-            self.recorder._note_clamped(t_ps)
-            b = self.n_bins - 1
-        planes = self._bins.get(b)
-        if planes is None:
-            planes = []
-            self._bins[b] = planes
-        shifts = self._shifts.get(wire)
-        if shifts is None:
-            shifts = self._wire_shifts(wire)
-        for shift in shifts:
-            counter_add(planes, mask, shift)
 
     def flush(self) -> None:
-        """Unpack every pending counter bin into the recorder's float32
-        power matrix and clear the planes.  Idempotent."""
-        if not self._bins:
+        """Deposit every pending bin count into the recorder's float32
+        power matrix and release the counts.  Idempotent."""
+        touched = np.flatnonzero(self._touched)
+        if not len(touched):
             return
-        with trace("power.flush", bins=len(self._bins)):
+        with trace("power.flush", bins=len(touched)):
             rec = self.recorder
-            power = rec._power
-            n = rec.n_traces
             obs_metrics.inc(_M_FLUSHES)
-            max_depth = 0
-            for b, planes in self._bins.items():
-                depth = len(planes)
-                if depth > max_depth:
-                    max_depth = depth
-                if depth > rec.stats["max_counter_planes"]:
-                    rec.stats["max_counter_planes"] = depth
-                counts = counter_unpack(planes, self.lanes, n)
-                if depth > COUNTER_EXACT_BITS and int(
-                    counts.max(initial=0)
-                ) >= (1 << COUNTER_EXACT_BITS):
-                    obs_metrics.inc(_M_OVERFLOW_BINS)
-                    rec.stats["overflow_bins"] += 1
-                    msg = (
-                        f"packed counter for bin {b} reached "
-                        f"{int(counts.max())} >= 2^{COUNTER_EXACT_BITS}: "
-                        "beyond the float32 exactness bound.  The flushed "
-                        "value is correctly rounded (single int->float32 "
-                        "conversion) but may differ bitwise from the "
-                        "boolean engine's sequential accumulation"
-                    )
-                    _LOG.warning("%s", msg)
-                    warnings.warn(
-                        msg, PackedAccumulatorOverflowWarning, stacklevel=3
-                    )
-                # int64 -> float32 is a single correct rounding; below the
-                # exactness bound it is the exact integer either way.
-                power[:, b] += counts.astype(np.float32)
-            if max_depth:
-                obs_metrics.max_gauge(_M_MAX_PLANES, max_depth)
-            self._bins.clear()
+            # Bins between the first and last touched one are flushed
+            # as one slice; untouched bins in it add exact zeros.
+            span = slice(touched[0], touched[-1] + 1)
+            counts = self._counts[span]
+            top = counts.max(axis=1)
+            depth = int(top.max()).bit_length()
+            rec.stats["max_counter_planes"] = max(
+                rec.stats["max_counter_planes"], depth
+            )
+            obs_metrics.max_gauge(_M_MAX_PLANES, depth)
+            for b in np.flatnonzero(top >= (1 << COUNTER_EXACT_BITS)):
+                obs_metrics.inc(_M_OVERFLOW_BINS)
+                rec.stats["overflow_bins"] += 1
+                msg = (
+                    f"packed counter for bin {span.start + b} reached "
+                    f"{int(top[b])} >= 2^{COUNTER_EXACT_BITS}: "
+                    "beyond the float32 exactness bound.  The flushed "
+                    "value is correctly rounded (single int->float32 "
+                    "conversion) but may differ bitwise from the "
+                    "boolean engine's sequential accumulation"
+                )
+                _LOG.warning("%s", msg)
+                warnings.warn(
+                    msg, PackedAccumulatorOverflowWarning, stacklevel=3
+                )
+            # int64 -> float32 is a single correct rounding; below the
+            # exactness bound it is the exact integer either way.
+            rec._power[:, span] += counts.T.astype(np.float32)
+            # Released, not zeroed: the counts are as large as the
+            # power matrix and a batch flushes once.
+            self._counts = None
+            self._touched[:] = False
+
+
+def toggle_sink(recorder, n_traces: int):
+    """Where an engine call sends its toggles: ``(accumulator,
+    record_wire)``, at most one of them set.
+
+    Counting recorders (:attr:`PowerRecorder.accepts_packed`) get their
+    :class:`PackedToggleAccumulator`; every other recorder gets its
+    ordered per-update ``record_wire`` stream; ``None`` and null
+    recorders get neither.
+    """
+    if recorder is None or getattr(recorder, "is_null", False):
+        return None, None
+    if getattr(recorder, "accepts_packed", False):
+        acc = recorder.packed_accumulator(n_traces)
+        if acc is not None:
+            return acc, None
+    return None, recorder.record_wire
 
 
 class TransientRecorder:
@@ -454,13 +471,11 @@ class TransientRecorder:
     (:mod:`repro.verify`): the complete transient value sequence each
     wire takes while the logic settles.
 
-    Only the interpreted simulation path emits per-wire transitions
-    (``compile_schedules=False``); the compiled replay engine pre-sums
-    energy across wires, which destroys exactly the information this
-    recorder exists to keep, so :meth:`add_energy` refuses to run.
-    The bit-packed engine (``pack_traces=True``) is refused for the
-    same reason — the simulator checks :attr:`requires_transients` and
-    raises before simulating (see :mod:`repro.sim.bitpack`).
+    It is not a counting recorder, so both boolean engines (interpreted
+    and compiled replay) hand it the ordered per-wire ``record_wire``
+    stream.  The bit-packed engine (``pack_traces=True``) is refused —
+    the simulator checks :attr:`requires_transients` and raises before
+    simulating (see :mod:`repro.sim.bitpack`).
     """
 
     #: The simulator keeps the exact boolean transient path for this
@@ -485,12 +500,6 @@ class TransientRecorder:
             toggled = old ^ new
             if toggled.any():
                 self.record_wire(t_ps, wire, toggled, new)
-
-    def add_energy(self, t_ps, energy) -> None:
-        raise RuntimeError(
-            "TransientRecorder needs per-wire transitions; run the "
-            "simulator with compile_schedules=False"
-        )
 
 
 class NullRecorder:

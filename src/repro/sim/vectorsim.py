@@ -28,11 +28,12 @@ Schedule compilation
 --------------------
 The same data independence makes the *control flow* of ``settle``
 identical across batches: the first call with a given input-event
-timing pattern records the evaluation schedule via
-:mod:`repro.sim.compiled`, and subsequent calls replay it as
-straight-line numpy (no heap, no per-event dicts, batched power
-updates) with transition-for-transition identical results.  Pass
-``compile_schedules=False`` to force the interpreted path.
+timing pattern compiles a level program of every potential evaluation
+via :mod:`repro.sim.compiled`, and subsequent calls replay it with one
+numpy call per (DAG level, cell) group — no heap, no per-event dicts —
+with transition-for-transition identical results.  Pass
+``compile_schedules=False`` to force the interpreted path
+(:func:`interpret`).
 
 Packed trace lanes
 ------------------
@@ -40,8 +41,9 @@ Packed trace lanes
 stores wire state as ``uint64`` lanes of 64 traces each
 (:mod:`repro.sim.bitpack`): every gate evaluation and toggle mask
 becomes a bitwise op on 64x less data, while liveness guards, event
-accounting and — via lazy unpacking of toggling wires only — the
-recorded power stay bit-identical to the boolean engine.
+accounting and the recorded power stay bit-identical to the boolean
+engine (counting recorders sum packed toggle masks directly; other
+recorders get toggling wires unpacked).
 :class:`~repro.sim.power.TransientRecorder` needs the boolean per-wire
 transient stream and is refused under packing.
 """
@@ -63,9 +65,15 @@ from .bitpack import (
 )
 from ..obs.trace import trace
 from .compiled import lookup_or_compile, replay
-from .power import PowerRecorder, default_weights
+from .power import PowerRecorder, default_weights, toggle_sink
 
-__all__ = ["VectorSimulator", "InputEvent", "SimulationError", "budget_error"]
+__all__ = [
+    "VectorSimulator",
+    "InputEvent",
+    "SimulationError",
+    "budget_error",
+    "interpret",
+]
 
 #: (time_ps, wire_id, new_values) — new_values is a (n_traces,) bool array
 #: or a scalar bool broadcast to all traces.
@@ -118,6 +126,106 @@ def budget_error(circuit, t, max_events: int, wires) -> SimulationError:
     )
 
 
+def interpret(
+    circuit: Circuit,
+    comb_fanout: Dict[int, List[int]],
+    values: np.ndarray,
+    events: Sequence[Tuple[float, int, np.ndarray]],
+    recorder,
+    t_offset: float,
+    max_events: int,
+    n_traces: Optional[int] = None,
+) -> Tuple[float, int]:
+    """The interpreted event loop: heap of instants, per-event dicts.
+
+    ``values`` is mutated in place; ``events`` carry coerced value
+    rows; ``n_traces`` is the real trace count of packed state (``None``
+    for boolean state).  Toggles go to the same sink as compiled replay
+    (:func:`repro.sim.power.toggle_sink`): counting recorders receive
+    one accumulator add at the end of the call, all others the ordered
+    ``record_wire`` stream.
+
+    Returns:
+        ``(settle_time, n_gate_evaluations)``.
+    """
+    gates = circuit.gates
+    # pending[t] = {wire: new_value_array}
+    pending: Dict[float, Dict[int, np.ndarray]] = {}
+    heap: List[float] = []
+    queued = set()
+
+    def schedule(t, wire: int, vals: np.ndarray) -> None:
+        slot = pending.setdefault(t, {})
+        slot[wire] = vals
+        if t not in queued:
+            queued.add(t)
+            heapq.heappush(heap, t)
+
+    for t, wire, vals in events:
+        schedule(t, wire, vals)
+
+    last_t = 0
+    budget = max_events
+    processed = 0
+    acc, record = toggle_sink(
+        recorder, values.shape[1] if n_traces is None else n_traces
+    )
+    acc_rows: List[Tuple[float, int, np.ndarray]] = []
+    while heap:
+        t = heapq.heappop(heap)
+        queued.discard(t)
+        updates = pending.pop(t)
+        last_t = t
+        # 1. Apply wire updates, record transitions, find affected gates.
+        affected: List[int] = []
+        for wire, new in updates.items():
+            toggled = values[wire] ^ new
+            if not toggled.any():
+                continue
+            if acc is not None:
+                acc_rows.append((t_offset + t, wire, toggled))
+            elif record is not None:
+                if n_traces is not None:
+                    # Only wires that actually toggled are unpacked.
+                    record(
+                        t_offset + t,
+                        wire,
+                        unpack_bool(toggled, n_traces),
+                        unpack_bool(new, n_traces),
+                    )
+                else:
+                    record(t_offset + t, wire, toggled, new)
+            values[wire] = new
+            affected.extend(comb_fanout.get(wire, ()))
+        # 2. Re-evaluate affected gates once each; schedule outputs.
+        for gi in dict.fromkeys(affected):
+            budget -= 1
+            if budget < 0:
+                raise budget_error(circuit, t, max_events, list(updates))
+            processed += 1
+            g = gates[gi]
+            ins = g.inputs
+            if len(ins) == 2:
+                out = g.cell.evaluate(values[ins[0]], values[ins[1]])
+            elif len(ins) == 1:
+                src = values[ins[0]]
+                out = g.cell.evaluate(src)
+                if out is src:
+                    # Identity cells (BUF/DELAY) return their input
+                    # row *view*; snapshot it, otherwise the pending
+                    # value would alias live wire state and deliver
+                    # the wire's future value instead of its value
+                    # at evaluation time.
+                    out = out.copy()
+            else:
+                out = g.cell.evaluate(*(values[w] for w in ins))
+            schedule(t + g.delay_ps, g.output, out)
+    if acc_rows:
+        times, wires, masks = zip(*acc_rows)
+        acc.add(np.asarray(times, dtype=np.float64), wires, np.stack(masks))
+    return last_t, processed
+
+
 class VectorSimulator:
     """Simulates ``n_traces`` stimuli of ``circuit`` in parallel.
 
@@ -168,6 +276,8 @@ class VectorSimulator:
                 self._comb_fanout[wire] = comb
         self.weights = default_weights(self._fanout, circuit.n_wires)
         self.events_processed = 0
+        #: Replay buffers reused across settles (see compiled.replay).
+        self._workspace: dict = {}
 
     # ------------------------------------------------------------------
     def reset_state(self, value: bool = False) -> None:
@@ -256,6 +366,7 @@ class VectorSimulator:
                 "pack_traces=False"
             )
         events = [(t, wire, self._coerce(vals)) for t, wire, vals in input_events]
+        n_traces = self.n_traces if self.packed else None
 
         if self.compile_schedules:
             program = lookup_or_compile(
@@ -268,100 +379,22 @@ class VectorSimulator:
                     last_t, n_evals = replay(
                         program,
                         self.values,
-                        [vals for _, _, vals in events],
+                        events,
                         recorder,
                         t_offset,
                         max_events,
                         self.circuit,
-                        n_traces=self.n_traces if self.packed else None,
+                        n_traces=n_traces,
+                        workspace=self._workspace,
                     )
                 self.events_processed += n_evals
                 return last_t
 
-        # pending[t] = {wire: new_value_array}
-        pending: Dict[int, Dict[int, np.ndarray]] = {}
-        heap: List[int] = []
-        queued = set()
-
-        def schedule(t, wire: int, vals: np.ndarray) -> None:
-            slot = pending.setdefault(t, {})
-            slot[wire] = vals
-            if t not in queued:
-                queued.add(t)
-                heapq.heappush(heap, t)
-
-        for t, wire, vals in events:
-            schedule(t, wire, vals)
-
-        last_t = 0
-        budget = max_events
-        values = self.values
-        fanout = self._comb_fanout
-        record = None
-        acc_add = None
-        packed = self.packed
-        n_real = self.n_traces
-        if recorder is not None and not getattr(recorder, "is_null", False):
-            if packed and hasattr(recorder, "packed_accumulator"):
-                acc = recorder.packed_accumulator(n_real, values.shape[1])
-                if acc is not None:
-                    acc_add = acc.add
-            if acc_add is None:
-                record = recorder.record_wire
-        while heap:
-            t = heapq.heappop(heap)
-            queued.discard(t)
-            updates = pending.pop(t)
-            last_t = t
-            # 1. Apply wire updates, record transitions, find affected gates.
-            affected: List[int] = []
-            for wire, new in updates.items():
-                toggled = values[wire] ^ new
-                if not toggled.any():
-                    continue
-                if acc_add is not None:
-                    # Packed-domain recording: counter-plane add, no
-                    # unpacking inside the event loop.
-                    acc_add(t_offset + t, wire, toggled)
-                elif record is not None:
-                    if packed:
-                        # Lazy unpack: only wires that actually toggled
-                        # reach the boolean recorder interface.
-                        record(
-                            t_offset + t,
-                            wire,
-                            unpack_bool(toggled, n_real),
-                            unpack_bool(new, n_real),
-                        )
-                    else:
-                        record(t_offset + t, wire, toggled, new)
-                values[wire] = new
-                affected.extend(fanout.get(wire, ()))
-            # 2. Re-evaluate affected gates once each; schedule outputs.
-            for gi in dict.fromkeys(affected):
-                budget -= 1
-                if budget < 0:
-                    raise budget_error(
-                        self.circuit, t, max_events, list(updates)
-                    )
-                self.events_processed += 1
-                g = gates[gi]
-                ins = g.inputs
-                if len(ins) == 2:
-                    out = g.cell.evaluate(values[ins[0]], values[ins[1]])
-                elif len(ins) == 1:
-                    src = values[ins[0]]
-                    out = g.cell.evaluate(src)
-                    if out is src:
-                        # Identity cells (BUF/DELAY) return their input
-                        # row *view*; snapshot it, otherwise the pending
-                        # value would alias live wire state and deliver
-                        # the wire's future value instead of its value
-                        # at evaluation time.
-                        out = out.copy()
-                else:
-                    out = g.cell.evaluate(*(values[w] for w in ins))
-                schedule(t + g.delay_ps, g.output, out)
+        last_t, n_evals = interpret(
+            self.circuit, self._comb_fanout, self.values, events, recorder,
+            t_offset, max_events, n_traces,
+        )
+        self.events_processed += n_evals
         return last_t
 
     # ------------------------------------------------------------------

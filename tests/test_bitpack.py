@@ -173,66 +173,101 @@ def test_popcount_of_packed_traces():
 
 
 # ----------------------------------------------------------------------
-# counter planes (packed-domain power accumulation kernels)
+# counter planes (packed-domain power accumulation kernel)
 # ----------------------------------------------------------------------
-def test_lanes_to_int_preserves_bit_positions():
-    """Trace i's bit keeps position i in the big-int representation."""
+def _counts(n_bins, n):
+    return np.zeros((n_bins, n), dtype=np.int64)
+
+
+def _budgets(monkeypatch):
+    """Yield twice: once forcing the carry-save adder (budget 0), once
+    with the default direct-unpack budget."""
+    for budget in (0, bitpack.COUNTER_DIRECT_BITS):
+        monkeypatch.setattr(bitpack, "COUNTER_DIRECT_BITS", budget)
+        yield budget
+
+
+def test_pack_bool_preserves_bit_positions():
+    """Trace i's bit sits at bit i % 64 of lane i // 64 — the layout the
+    counter kernel's unpacking relies on."""
     for i in [0, 1, 63, 64, 70, 127]:
         values = np.zeros(128, dtype=bool)
         values[i] = True
-        assert bitpack.lanes_to_int(pack_bool(values)) == 1 << i
+        lanes = pack_bool(values)
+        assert int(lanes[i // 64]) == 1 << (i % 64)
+        assert np.count_nonzero(lanes) == 1
 
 
-def test_counter_add_matches_integer_sums():
-    """Ripple-carry adds over bit-planes == per-trace integer sums."""
+def test_counter_add_matches_integer_sums(monkeypatch):
+    """Accumulating many rows == per-trace integer sums."""
     rng = np.random.default_rng(10)
     n = 100  # ragged: 2 lanes, 28 pad bits
-    lanes = n_lanes(n)
-    planes = []
-    expected = np.zeros(n, dtype=np.int64)
-    for _ in range(50):
-        row = rng.integers(0, 2, n).astype(bool)
-        bitpack.counter_add(planes, bitpack.lanes_to_int(pack_bool(row)))
-        expected += row
-    got = bitpack.counter_unpack(planes, lanes, n)
-    assert np.array_equal(got, expected)
-    # 50 adds of 0/1 fit in 6 bits
-    assert len(planes) <= 6
+    for _ in _budgets(monkeypatch):
+        for k in (50, 500):
+            rows = rng.integers(0, 2, (k, n)).astype(bool)
+            counts = _counts(1, n)
+            bitpack.counter_add(counts, pack_bool(rows), np.zeros(k, dtype=int))
+            assert np.array_equal(counts[0], rows.sum(axis=0))
 
 
-def test_counter_add_shift_scales_by_power_of_two():
-    """A shifted add contributes mask * 2**shift — the binary weight
-    decomposition: weight 5 = shifts (0, 2)."""
+def test_counter_add_shift_scales_by_power_of_two(monkeypatch):
+    """A weight contributes mask * weight — binary weight decomposition:
+    weight 5 = bit planes (0, 2)."""
     rng = np.random.default_rng(11)
     n = 70
-    lanes = n_lanes(n)
-    planes = []
-    expected = np.zeros(n, dtype=np.int64)
-    for _ in range(20):
-        row = rng.integers(0, 2, n).astype(bool)
-        mask = bitpack.lanes_to_int(pack_bool(row))
-        bitpack.counter_add(planes, mask, 0)
-        bitpack.counter_add(planes, mask, 2)
-        expected += row.astype(np.int64) * 5
-    assert np.array_equal(bitpack.counter_unpack(planes, lanes, n), expected)
+    for _ in _budgets(monkeypatch):
+        for k in (20, 300):
+            rows = rng.integers(0, 2, (k, n)).astype(bool)
+            counts = _counts(1, n)
+            bitpack.counter_add(
+                counts, pack_bool(rows), np.zeros(k, dtype=int), np.full(k, 5)
+            )
+            assert np.array_equal(counts[0], rows.sum(axis=0) * 5)
 
 
-def test_counter_add_grows_planes_on_demand():
-    planes = []
-    bitpack.counter_add(planes, 0b1, 3)
-    assert planes == [0, 0, 0, 0b1]
-    bitpack.counter_add(planes, 0b1, 3)  # 8 + 8 = 16: carry into plane 4
-    assert planes == [0, 0, 0, 0, 0b1]
+def test_counter_add_grows_planes_on_demand(monkeypatch):
+    """Carries ripple past every input plane: 8 + 8 = 16, 255 ones."""
+    one = pack_bool(np.ones(1, dtype=bool))
+    for _ in _budgets(monkeypatch):
+        counts = _counts(1, 1)
+        bitpack.counter_add(counts, np.repeat(one[None], 2, 0), [0, 0], [8, 8])
+        assert counts[0, 0] == 16
+        counts = _counts(1, 1)
+        bitpack.counter_add(
+            counts, np.repeat(one[None], 255, 0), np.zeros(255, int)
+        )
+        assert counts[0, 0] == 255
 
 
-def test_counter_unpack_drops_pad_bits():
+def test_counter_add_drops_pad_bits(monkeypatch):
     n = 5
     row = np.ones(n, dtype=bool)  # pad replicates trace 4 (True)
-    planes = []
-    bitpack.counter_add(planes, bitpack.lanes_to_int(pack_bool(row)))
-    counts = bitpack.counter_unpack(planes, 1, n)
-    assert counts.shape == (n,)
-    assert np.array_equal(counts, np.ones(n, dtype=np.int64))
+    for _ in _budgets(monkeypatch):
+        counts = _counts(1, n)
+        bitpack.counter_add(counts, np.repeat(pack_bool(row)[None], 4, 0), [0] * 4)
+        assert counts.shape == (1, n)
+        assert np.array_equal(counts[0], np.full(n, 4, dtype=np.int64))
+
+
+def test_counter_add_routes_rows_to_bins(monkeypatch):
+    """Entries name their bin and mask row; a row may enter twice, and
+    boolean rows count like packed lanes."""
+    rng = np.random.default_rng(12)
+    n = 130
+    rows = rng.integers(0, 2, (400, n)).astype(bool)
+    entries = rng.integers(0, 400, 900)
+    bins = rng.integers(0, 7, 900)
+    weights = rng.integers(0, 40, 900)
+    expect = _counts(7, n)
+    for e, b, w in zip(entries, bins, weights):
+        expect[b] += rows[e] * w
+    for _ in _budgets(monkeypatch):
+        for masks in (pack_bool(rows), rows):
+            counts = _counts(7, n)
+            bitpack.counter_add(counts, masks, bins, weights, entries)
+            assert np.array_equal(counts, expect)
+            bitpack.counter_add(counts, masks, bins, 0 * weights, entries)
+            assert np.array_equal(counts, expect)
 
 
 # ----------------------------------------------------------------------

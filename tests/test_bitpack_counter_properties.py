@@ -1,31 +1,31 @@
-"""Property-based tests of the vertical-counter bitpack helpers.
+"""Property-based tests of the packed counter kernel.
 
 The packed power engine's exactness claim rests on three properties of
-:func:`repro.sim.bitpack.counter_add` / :func:`counter_unpack` /
-:func:`lanes_to_int`:
+:func:`repro.sim.bitpack.counter_add` and the accumulator built on it:
 
-* a counter built from arbitrary shifted mask adds unpacks to exactly
-  the per-trace integer totals (ripple-carry correctness);
-* ``lanes_to_int`` keeps trace ``i`` at bit position ``i`` (the numpy
-  lane layout and the big-int layout agree);
+* arbitrary weighted adds of packed masks (or boolean rows) into
+  arbitrary bins equal the per-trace integer totals, whether the
+  carry-save adder runs or the rows are unpacked directly;
+* :func:`repro.sim.bitpack.pack_bool` keeps trace ``i`` at bit
+  ``i % 64`` of lane ``i // 64`` and zero pads never count;
 * accumulation is exact at and below ``2**COUNTER_EXACT_BITS`` and the
   :class:`~repro.sim.power.PackedAccumulatorOverflowWarning` fires
   exactly when a flushed count *reaches* the bound — never one below.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import bitpack
 from repro.sim.bitpack import (
     COUNTER_EXACT_BITS,
     LANE_BITS,
     counter_add,
-    counter_unpack,
-    lanes_to_int,
     n_lanes,
     pack_bool,
 )
@@ -52,66 +52,83 @@ from repro.sim.power import PackedAccumulatorOverflowWarning, PowerRecorder
 )
 @settings(max_examples=80, deadline=None)
 def test_counter_add_unpack_roundtrip(case):
-    """Arbitrary shifted adds unpack to the per-trace integer totals."""
+    """Arbitrary shifted adds read back as the per-trace integer totals."""
     n, adds = case
-    planes: list = []
     expect = np.zeros(n, dtype=np.int64)
-    for mask, shift in adds:
-        counter_add(planes, mask, shift=shift)
+    bits = np.zeros((len(adds), n), dtype=bool)
+    for r, (mask, shift) in enumerate(adds):
         for i in range(n):
-            expect[i] += ((mask >> i) & 1) << shift
-    got = counter_unpack(planes, n_lanes(n), n)
-    assert np.array_equal(got, expect)
+            bits[r, i] = (mask >> i) & 1
+        expect += bits[r].astype(np.int64) << shift
+    counts = np.zeros((1, n), dtype=np.int64)
+    with mock.patch.object(bitpack, "COUNTER_DIRECT_BITS", 0):
+        counter_add(
+            counts,
+            pack_bool(bits).reshape(len(adds), n_lanes(n)),
+            np.zeros(len(adds), dtype=int),
+            [1 << shift for _, shift in adds],
+        )
+    assert np.array_equal(counts[0], expect)
 
 
 @given(st.integers(1, 300))
 @settings(max_examples=60, deadline=None)
-def test_lanes_to_int_bit_layout(n):
-    """Trace ``i``'s boolean lands at bit ``i`` of the big int."""
+def test_pack_bool_bit_layout(n):
+    """Trace ``i``'s boolean lands at bit ``i % 64`` of lane ``i // 64``."""
     rng = np.random.default_rng(n)
     bits = rng.integers(0, 2, n).astype(bool)
     lanes = pack_bool(bits)
     assert lanes.shape == (n_lanes(n),)
-    as_int = lanes_to_int(lanes)
     for i in range(n):
-        assert ((as_int >> i) & 1) == int(bits[i])
-    # pad bits above n are zero
-    assert as_int >> (n_lanes(n) * LANE_BITS) == 0
+        assert (int(lanes[i // LANE_BITS]) >> (i % LANE_BITS)) & 1 == bits[i]
+    # pad bits shadow the last real trace
+    pad = int(lanes[-1]) >> (n % LANE_BITS) if n % LANE_BITS else 0
+    assert pad in (0, (1 << (LANE_BITS - n % LANE_BITS)) - 1)
 
 
-@given(st.integers(0, 40), st.integers(1, 65))
-@settings(max_examples=60, deadline=None)
-def test_counter_add_matches_big_int_arithmetic(seed, n):
-    """Summing the planes as ``sum(plane_j << j)`` equals the sum of
-    the shifted masks — the counter is literally column arithmetic."""
+@given(
+    st.integers(0, 40),
+    st.integers(1, 65),
+    st.integers(1, 300),
+    st.sampled_from([0, 1 << 10, bitpack.COUNTER_DIRECT_BITS]),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_counter_add_matches_big_int_arithmetic(seed, n, k, direct_bits, packed):
+    """Many rows into several bins with weights up to 2^10: the counts
+    equal plain integer column sums, whichever path the kernel takes
+    (all carry-save, carry-save then unpack, or unpack only) and for
+    packed lanes and boolean rows alike."""
     rng = np.random.default_rng(seed)
-    planes: list = []
-    total = 0
-    for _ in range(12):
-        mask = int(rng.integers(0, 1 << min(n, 62)))
-        shift = int(rng.integers(0, 5))
-        counter_add(planes, mask, shift=shift)
-        total += sum(((mask >> i) & 1) << shift << (70 * i) for i in range(n))
-    recon = 0
-    for i in range(n):
-        c = sum(((plane >> i) & 1) << j for j, plane in enumerate(planes))
-        recon += c << (70 * i)
-    assert recon == total
+    rows = rng.integers(0, 2, (k, n)).astype(bool)
+    bins = np.sort(rng.integers(0, 4, k))
+    weights = rng.integers(0, 1 << 10, k)
+    counts = np.zeros((4, n), dtype=np.int64)
+    with mock.patch.object(bitpack, "COUNTER_DIRECT_BITS", direct_bits):
+        counter_add(counts, pack_bool(rows) if packed else rows, bins, weights)
+    expect = np.zeros((4, n), dtype=np.int64)
+    np.add.at(expect, bins, rows * weights[:, None])
+    assert np.array_equal(counts, expect)
 
 
 # ----------------------------------------------------------------------
 # overflow warning boundary
 # ----------------------------------------------------------------------
 def _drive_exact(count: int) -> PowerRecorder:
-    """A recorder whose single trace accumulated exactly ``count``."""
-    rec = PowerRecorder(1, 250, bin_ps=250)
+    """A recorder whose single trace accumulated exactly ``count``.
+
+    Wire ``j`` weighs ``2**j``; the count enters as one toggle per set
+    bit below 2^24 plus two weight-2^23 toggles per 2^24.
+    """
+    weights = np.array([float(1 << j) for j in range(COUNTER_EXACT_BITS)])
+    rec = PowerRecorder(1, 250, bin_ps=250, weights=weights)
     acc = rec.packed_accumulator(1, 1)
     assert acc is not None
-    mask = lanes_to_int(np.ones(1, dtype=np.uint64))
-    planes = acc._bins.setdefault(0, [])
-    for j in range(count.bit_length()):
-        if (count >> j) & 1:
-            counter_add(planes, mask, shift=j)
+    top = COUNTER_EXACT_BITS - 1
+    wires = [j for j in range(COUNTER_EXACT_BITS) if (count >> j) & 1]
+    wires += [top] * (2 * (count >> COUNTER_EXACT_BITS))
+    ones = np.ones((len(wires), 1), dtype=np.uint64)
+    acc.add(np.zeros(len(wires)), wires, ones)
     return rec
 
 

@@ -19,67 +19,12 @@ from repro.sim.compiled import schedule_cache_info
 from repro.sim.power import PowerRecorder
 from repro.sim.vectorsim import SimulationError, VectorSimulator
 
-
-class LoggingRecorder:
-    """Records every transition verbatim.
-
-    ``_partners`` is truthy, which forces the replay engine onto the
-    exact per-wire recording path — so the log captures the *order* of
-    recorded transitions, not just their sum.
-    """
-
-    _partners = True
-
-    def __init__(self):
-        self.log = []
-
-    def record_wire(self, t_ps, wire, toggled, new):
-        self.log.append((t_ps, wire, toggled.copy(), new.copy()))
-
-
-def assert_logs_equal(log_a, log_b):
-    assert len(log_a) == len(log_b)
-    for (ta, wa, ga, na), (tb, wb, gb, nb) in zip(log_a, log_b):
-        assert ta == tb
-        assert wa == wb
-        assert np.array_equal(ga, gb)
-        assert np.array_equal(na, nb)
-
-
-def random_circuit(seed, jitter=False):
-    rng = np.random.default_rng(seed)
-    c = Circuit(f"rand{seed}")
-    if jitter:
-        c.enable_routing_jitter(
-            seed + 100, gate_sigma_ps=60.0, delay_sigma_ps=150.0
-        )
-    wires = [c.add_input(f"i{k}") for k in range(4)]
-    cells = ["AND2", "OR2", "XOR2", "NAND2", "NOR2", "XNOR2"]
-    for _ in range(25):
-        r = int(rng.integers(0, 8))
-        if r == 6:
-            wires.append(c.inv(wires[int(rng.integers(0, len(wires)))]))
-        elif r == 7:
-            s, a, b = rng.choice(len(wires), 3)
-            wires.append(c.mux2(wires[s], wires[a], wires[b]))
-        else:
-            a, b = rng.choice(len(wires), 2)
-            wires.append(c.add_gate(cells[r], [wires[a], wires[b]]))
-    wires.append(
-        c.delay_line(wires[int(rng.integers(0, len(wires)))], 2, 2)
-    )
-    c.mark_output("z", wires[-1])
-    c.check()
-    return c
-
-
-def random_events(c, rng, n):
-    """Four input events with partially coinciding times."""
-    return [
-        (int(rng.integers(0, 4)) * 500, c.wire(f"i{k}"),
-         rng.integers(0, 2, n).astype(bool))
-        for k in range(4)
-    ]
+from .test_differential import (
+    LoggingRecorder,
+    assert_logs_equal,
+    random_circuit,
+    random_events,
+)
 
 
 def run_both(circuit, events_list, n):

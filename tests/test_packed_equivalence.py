@@ -28,7 +28,7 @@ from repro.verify import preset_spec
 from repro.verify.crossval import SpecTraceSource
 from repro.verify.presets import PRESETS
 
-from .test_compiled import (
+from .test_differential import (
     LoggingRecorder,
     assert_logs_equal,
     random_circuit,
