@@ -20,6 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.gadgets import secand2_func
+from ..core.refresh_search import max_group_defect, sample_all_inputs
+from ..sim.bitpack import pack_bool, unpack_u8
 from .lower import LoweredPlan
 
 __all__ = ["PlanModel", "uniformity_defect"]
@@ -55,11 +57,14 @@ class PlanModel:
     ):
         """Evaluate on ``(n_inputs, N)`` share arrays.
 
-        ``rand`` has one ``(N,)`` row per refresh position (rows of
-        dropped positions are ignored).  Returns ``(o0, o1)`` arrays of
-        shape ``(n_outputs, N)``; with ``expose_intermediates`` also the
-        per-row share-0 bit arrays and the select share-0 bits — the
-        intermediate distributions the uniformity search audits.
+        The arrays are boolean columns or ``uint64`` trace lanes
+        (:func:`repro.sim.bitpack.pack_bool`); every operation is
+        bitwise, so lanes evaluate the same dataflow 64 samples at a
+        time.  ``rand`` has one ``(N,)`` row per refresh position
+        (rows of dropped positions are ignored).  Returns ``(o0, o1)``
+        arrays of shape ``(n_outputs, N)``; with ``expose_intermediates``
+        also the per-row share-0 bit arrays and the select share-0 bits
+        — the intermediate distributions the uniformity search audits.
         """
         plan = self.plan
         spec = plan.spec
@@ -146,7 +151,7 @@ class PlanModel:
             sels.append(refreshed("sel", r, sel))
 
         # stage 2: sel AND row-bit, XOR across rows
-        o0 = np.zeros((spec.n_outputs, s0.shape[1]), dtype=bool)
+        o0 = np.zeros((spec.n_outputs, s0.shape[1]), dtype=s0.dtype)
         o1 = np.zeros_like(o0)
         for r, row in enumerate(plan.rows):
             for b in range(spec.n_outputs):
@@ -202,46 +207,30 @@ def uniformity_defect(
     and of every row's share-0 bits, which feed the MUX stage — must be
     uniform.  Returns the maximum absolute deviation from the uniform
     probability across all of them.
+
+    All ``2**n_inputs`` inputs are sampled in one batch
+    (:func:`~repro.core.refresh_search.sample_all_inputs`, the
+    historical per-value draw order) and evaluated by a single model
+    call on packed ``uint64`` lanes.
     """
-    plan = model.plan
-    spec = plan.spec
+    spec = model.plan.spec
     rng = np.random.default_rng(seed)
-    worst = 0.0
-
-    def group_defect(bit_arrays: Sequence[np.ndarray]) -> float:
-        width = len(bit_arrays)
-        word = np.zeros(bit_arrays[0].shape[0], dtype=np.int64)
-        for a in bit_arrays:
-            word = (word << 1) | a.astype(np.int64)
-        counts = np.bincount(word, minlength=1 << width) / word.shape[0]
-        return float(np.max(np.abs(counts - 1.0 / (1 << width))))
-
-    for value in range(1 << spec.n_inputs):
-        bits = np.stack(
-            [
-                np.full(
-                    n_per_input,
-                    bool((value >> (spec.n_inputs - 1 - i)) & 1),
-                )
-                for i in range(spec.n_inputs)
-            ]
-        )
-        s1 = rng.integers(0, 2, bits.shape).astype(bool)
-        rand = rng.integers(
-            0, 2, (max(1, model.n_rand), n_per_input)
-        ).astype(bool)
-        o0, _, rows_out, _ = model(
-            bits ^ s1,
-            s1,
-            rand,
-            refresh_mask=refresh_mask,
-            expose_intermediates=True,
-        )
-        worst = max(
-            worst, group_defect([o0[b] for b in range(spec.n_outputs)])
-        )
-        for bits_r in rows_out:
-            present = [p[0] for p in bits_r if p is not None]
-            if present:
-                worst = max(worst, group_defect(present))
-    return worst
+    s0, s1, rand = sample_all_inputs(
+        rng, spec.n_inputs, max(1, model.n_rand), n_per_input
+    )
+    o0, _, rows_out, _ = model(
+        pack_bool(s0),
+        pack_bool(s1),
+        pack_bool(rand),
+        refresh_mask=refresh_mask,
+        expose_intermediates=True,
+    )
+    groups = [o0]
+    for row in rows_out:
+        present = [p[0] for p in row if p is not None]
+        if present:
+            groups.append(np.stack(present))
+    n_samples = s0.shape[1]
+    return max_group_defect(
+        (unpack_u8(g, n_samples) for g in groups), 1 << spec.n_inputs
+    )

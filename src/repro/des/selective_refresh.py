@@ -22,12 +22,15 @@ uniformity the refresh layer is there to restore.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..core.refresh_search import greedy_minimize
-from .bits import int_to_bitarray
+from ..core.refresh_search import (
+    greedy_minimize,
+    max_group_defect,
+    sample_all_inputs,
+)
 from .masked_core import MaskedSboxModel
 
 __all__ = [
@@ -48,41 +51,23 @@ def uniformity_defect(
 
     Returns the maximum over all 64 unshared inputs of
     ``max_v |P(nibble = v) - 1/16|``; a secure refresh plan keeps this
-    at the statistical-noise floor (~sqrt(1/16 * 15/16 / n)).
+    at the statistical-noise floor (~sqrt(1/16 * 15/16 / n)).  Every
+    mini-S-box output nibble (share 0) must be uniform too: these feed
+    the MUX AND stage and the XOR plane.  All 64 inputs run through one
+    model call on boolean columns, sampled in the historical per-value
+    order (:func:`~repro.core.refresh_search.sample_all_inputs`).
     """
-    model = MaskedSboxModel(sbox)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    mask = list(refresh_mask)
-
-    def nibble_defect(bits4: Sequence[np.ndarray]) -> float:
-        nib = (
-            bits4[0].astype(np.int64) * 8
-            + bits4[1] * 4
-            + bits4[2] * 2
-            + bits4[3]
-        )
-        counts = np.bincount(nib, minlength=16) / nib.shape[0]
-        return float(np.max(np.abs(counts - 1.0 / 16)))
-
-    for value in range(64):
-        bits = int_to_bitarray(np.uint64(value), 6, n_per_input)
-        share1 = rng.integers(0, 2, (6, n_per_input)).astype(bool)
-        rand14 = rng.integers(0, 2, (14, n_per_input)).astype(bool)
-        o0, _, rows_out, sel = model(
-            bits ^ share1,
-            share1,
-            rand14,
-            refresh_mask=mask,
-            expose_intermediates=True,
-        )
-        # the final output nibble ...
-        worst = max(worst, nibble_defect([o0[b] for b in range(4)]))
-        # ... and every mini-S-box output nibble (share 0) must be
-        # uniform: these feed the MUX AND stage and the XOR plane.
-        for row in rows_out:
-            worst = max(worst, nibble_defect([row[b][0] for b in range(4)]))
-    return worst
+    s0, s1, rand14 = sample_all_inputs(rng, 6, 14, n_per_input)
+    o0, _, rows_out, _ = MaskedSboxModel(sbox)(
+        s0,
+        s1,
+        rand14,
+        refresh_mask=list(refresh_mask),
+        expose_intermediates=True,
+    )
+    groups = [o0] + [[row[b][0] for b in range(4)] for row in rows_out]
+    return max_group_defect(groups, 64)
 
 
 @dataclass(frozen=True)
